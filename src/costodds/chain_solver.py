@@ -9,10 +9,11 @@ budget formula because verdicts are constant beyond the largest constant.
 The engine walks cost levels in increasing order. Costs never decrease
 along a run, so mass can only flow from a level to strictly higher ones,
 except through zero-cost transitions, which stay inside the level and
-are eliminated per level: by a topological pass when the zero-cost
-subgraph is acyclic there, otherwise by one exact linear solve for the
-expected visit counts. Levels are kept sparse (a heap of occupied
-levels), so huge budgets with few reachable cost values stay cheap.
+are eliminated per level by the shared kernel ``linalg.resolve_level``:
+a pass in dependency order when the zero-cost subgraph is acyclic there,
+otherwise one exact linear solve for the expected visit counts. Levels
+are kept sparse (a heap of occupied levels), so huge budgets with few
+reachable cost values stay cheap.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import NotAChainError, NotValidatedError
-from .formula import Formula, max_constant, satisfies
-from .linalg import solve_linear_system
+from .formula import Formula, max_constant, normalize
+from .linalg import resolve_level
 from .model import CostChain, Transition, is_chain, validate
 
 __all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain"]
@@ -124,13 +125,14 @@ def cost_distribution(chain: CostChain, budget: int) -> TruncatedDistribution:
 
 def solve_chain(chain: CostChain, formula: Formula) -> Fraction:
     """Exact probability that the accumulated cost satisfies the formula."""
+    accept = normalize(formula)
     budget = max_constant(formula)
     distribution = cost_distribution(chain, budget)
     total = sum(
-        (p for c, p in distribution.mass.items() if satisfies(c, formula)),
+        (p for c, p in distribution.mass.items() if c in accept),
         Fraction(0),
     )
-    if satisfies(budget + 1, formula):
+    if budget + 1 in accept:
         total += distribution.overflow
     return total
 
@@ -144,60 +146,24 @@ def _zero_level_visits(
     """Expected visit counts within one cost level's zero-cost subgraph.
 
     The subgraph spans the non-target states reachable from the inflow
-    support via zero-cost transitions. If it is acyclic the counts come
-    from a single forward pass; otherwise they solve (I - Z^T) v = inflow,
+    support via zero-cost transitions. The counts solve v = inflow + Z^T v,
     which is nonsingular because no zero-cost end component can exist in
-    a validated process.
+    a validated process; each state is a one-action level member whose
+    zero-edges are its zero-cost predecessors.
     """
     relevant: list[str] = list(inflow)
     seen = set(inflow)
-    zero_edges: dict[str, list[tuple[str, Fraction]]] = {}
-    i = 0
-    while i < len(relevant):
-        q = relevant[i]
-        i += 1
-        edges = []
+    predecessors: dict[str, list[tuple[str, Fraction]]] = {}
+    for q in relevant:
         for succ, cost, prob in dist[q]:
             if cost == 0 and succ != target:
-                edges.append((succ, prob))
                 if succ not in seen:
                     seen.add(succ)
                     relevant.append(succ)
-        zero_edges[q] = edges
+                predecessors.setdefault(succ, []).append((q, prob))
 
-    indegree = {q: 0 for q in relevant}
-    for q in relevant:
-        for succ, _ in zero_edges[q]:
-            indegree[succ] += 1
-    queue = [q for q in relevant if indegree[q] == 0]
-    topo: list[str] = []
-    while queue:
-        q = queue.pop()
-        topo.append(q)
-        for succ, _ in zero_edges[q]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                queue.append(succ)
-
-    if len(topo) == len(relevant):
-        visits = {q: inflow.get(q, Fraction(0)) for q in relevant}
-        for q in topo:
-            count = visits[q]
-            if count == 0:
-                continue
-            for succ, prob in zero_edges[q]:
-                visits[succ] += count * prob
-        return visits
-
-    index = {q: pos for pos, q in enumerate(relevant)}
-    n = len(relevant)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for pos in range(n):
-        matrix[pos][pos] = Fraction(1)
-    for q in relevant:
-        for succ, prob in zero_edges[q]:
-            matrix[index[succ]][index[q]] -= prob
-    rhs = [inflow.get(q, Fraction(0)) for q in relevant]
-    solution = solve_linear_system(matrix, rhs)
-    stats["linear_solves"] += 1
-    return {q: solution[index[q]] for q in relevant}
+    zero = Fraction(0)
+    options = {q: ((inflow.get(q, zero), predecessors.get(q, ())),) for q in relevant}
+    visits, _, solved = resolve_level(relevant, options, "max")
+    stats["linear_solves"] += solved
+    return visits

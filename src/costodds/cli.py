@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chain_solver import cost_distribution, solve_chain
 from .errors import CostOddsError, NotValidatedError, ThresholdRangeError
-from .formula import max_constant, parse, satisfies, to_text
+from .formula import normalize, parse, to_text
 from .gadgets import (
     circuit_from_json,
     circuit_to_chain,
@@ -303,13 +303,12 @@ def _cmd_gadget_half(args) -> int:
     process = model_from_json(_load_json(args.model))
     formula = parse(args.formula)
     threshold = _threshold(args.tau)
-    horizon = max_constant(formula)
-    probes = range(horizon + 2)
-    hit = next((v for v in probes if satisfies(v, formula)), None)
-    miss = next((v for v in probes if not satisfies(v, formula)), None)
-    if hit is None or miss is None:
+    accept = normalize(formula)
+    if accept.is_empty or accept.is_universal:
         print("error: formula is constant; nothing to re-threshold", file=sys.stderr)
         return 2
+    hit = accept.spans[0][0]
+    miss = accept.complement().spans[0][0]
     result = threshold_to_half(process, formula, threshold, miss, hit)
     payload = {"model": model_to_json(result), "tau": "1/2", "formula": args.formula}
     _emit(args, payload, [canonical_json(model_to_json(result))])

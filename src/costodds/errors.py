@@ -36,10 +36,6 @@ class NotAChainError(CostOddsError):
     """A chain-only operation received a process with a choice of actions."""
 
 
-class CyclicProcessError(CostOddsError):
-    """The acyclic-only solver received a process with a control cycle."""
-
-
 class ThresholdRangeError(CostOddsError):
     """A probability threshold outside the range the operation supports."""
 

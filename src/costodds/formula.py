@@ -7,16 +7,19 @@ grammar also accepts ``x >= B``, ``x = B``, and two-sided ``A <= x <= B``
 forms, which are rewritten into the three core connectives while parsing,
 so the AST only ever contains ``Atom``, ``Not``, ``And``, ``Or``.
 
-Every formula is eventually constant: above its largest atom bound the
-truth value cannot change again. ``normalize`` exploits that to compute
-the exact satisfying set as a canonical ``IntervalSet``, which is what the
-solvers consume.
+Truth can only change just above an atom bound, so a formula denotes a
+finite union of intervals fixed by its constants. ``normalize`` compiles
+it once into that canonical ``IntervalSet``, evaluating truth only at 0
+and at each bound + 1; the solvers and the sampler test costs against the
+set, and ``satisfies`` stays as the reference evaluator.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Final, Iterator
 
 from .errors import FormulaSyntaxError
 
@@ -85,12 +88,11 @@ class IntervalSet:
     spans: tuple[tuple[int, int | None], ...]
 
     def __contains__(self, value: int) -> bool:
-        lows = [lo for lo, _ in self.spans]
-        idx = bisect_right(lows, value) - 1
+        idx = bisect_right(self.spans, value, key=_span_start) - 1
         if idx < 0:
             return False
-        lo, hi = self.spans[idx]
-        return value >= lo and (hi is None or value <= hi)
+        hi = self.spans[idx][1]
+        return hi is None or value <= hi
 
     @property
     def is_empty(self) -> bool:
@@ -126,13 +128,22 @@ class IntervalSet:
         return False
 
 
+_span_start = itemgetter(0)
+
+
 # Tokenizer: the grammar has single-character operators plus <= and >=.
 
 _SIMPLE = {"!": "not", "&": "and", "|": "or", "(": "lparen", ")": "rparen"}
 
+# Cap on connectives and parentheses per formula text. It bounds both the
+# parser's recursion and the depth of every AST it builds, so no walk over
+# a parsed formula can exhaust the interpreter stack.
+_MAX_CONNECTIVES: Final[int] = 200
+
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
+    connectives = 0
     i = 0
     while i < len(text):
         ch = text[i]
@@ -140,6 +151,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             i += 1
             continue
         if ch in _SIMPLE:
+            connectives += 1
+            if connectives > _MAX_CONNECTIVES:
+                raise FormulaSyntaxError(
+                    f"more than {_MAX_CONNECTIVES} connectives and parentheses", i
+                )
             tokens.append((_SIMPLE[ch], ch, i))
             i += 1
         elif ch == "x":
@@ -295,6 +311,21 @@ def satisfies(value: int, formula: CostFormula) -> bool:
     raise TypeError(f"not a cost formula: {formula!r}")
 
 
+def _walk(formula: CostFormula) -> Iterator[CostFormula]:
+    """Every node of the tree in pre-order, without recursion."""
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Not):
+            stack.append(node.inner)
+        elif isinstance(node, (And, Or)):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif not isinstance(node, Atom):
+            raise TypeError(f"not a cost formula: {node!r}")
+
+
 def max_constant(formula: CostFormula) -> int:
     """The largest atom bound; beyond it the formula's verdict is fixed.
 
@@ -302,35 +333,41 @@ def max_constant(formula: CostFormula) -> int:
     of an atom-free formula only matters for hand-built trees; it returns
     0, and constancy can be checked with ``is_constant_formula``.
     """
-    if isinstance(formula, Atom):
-        return formula.bound
-    if isinstance(formula, Not):
-        return max_constant(formula.inner)
-    if isinstance(formula, (And, Or)):
-        return max(max_constant(formula.left), max_constant(formula.right))
-    raise TypeError(f"not a cost formula: {formula!r}")
+    return max((n.bound for n in _walk(formula) if isinstance(n, Atom)), default=0)
 
 
 def normalize(formula: CostFormula) -> IntervalSet:
     """The exact satisfying set of the formula as disjoint intervals.
 
-    Truth is sampled on [0, B+1] for B the largest atom bound; the value
-    at B+1 decides whether the final interval extends to infinity. The
-    result is canonical: semantically equal formulas normalize equally.
+    Truth is constant on [0, b_1] and on each [b_i + 1, b_(i+1)] for the
+    sorted atom bounds b_i, and from the last b + 1 on, so it is
+    evaluated only at 0 and at each bound + 1: one bit per sample point,
+    all points at once, in a single pass over the tree. The result is
+    canonical: semantically equal formulas normalize equally.
     """
-    top = max_constant(formula)
+    nodes = list(_walk(formula))
+    points = sorted({0}.union(n.bound + 1 for n in nodes if isinstance(n, Atom)))
+    full = (1 << len(points)) - 1
+    truth: dict[int, int] = {}
+    # Reversed pre-order visits every child before its parent.
+    for node in reversed(nodes):
+        if isinstance(node, Atom):
+            bits = (1 << bisect_right(points, node.bound)) - 1
+        elif isinstance(node, Not):
+            bits = full ^ truth[id(node.inner)]
+        elif isinstance(node, And):
+            bits = truth[id(node.left)] & truth[id(node.right)]
+        else:
+            bits = truth[id(node.left)] | truth[id(node.right)]
+        truth[id(node)] = bits
+    bits = truth[id(formula)]
+    ends: list[int | None] = [point - 1 for point in points[1:]]
     spans: list[tuple[int, int | None]] = []
-    run_start: int | None = None
-    for n in range(top + 2):
-        if satisfies(n, formula):
-            if run_start is None:
-                run_start = n
-        elif run_start is not None:
-            spans.append((run_start, n - 1))
-            run_start = None
-    if run_start is not None:
-        # The run reaches B+1, where the verdict has gone constant.
-        spans.append((run_start, None))
+    for index, (lo, hi) in enumerate(zip(points, ends + [None])):
+        if bits >> index & 1:
+            if spans and spans[-1][1] == lo - 1:
+                lo = spans.pop()[0]
+            spans.append((lo, hi))
     return IntervalSet(tuple(spans))
 
 

@@ -9,7 +9,6 @@ stacks two such chains to compare two gate values against threshold 1/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -18,7 +17,7 @@ from ..chain_solver import cost_distribution
 from ..errors import PreconditionError
 from ..formula import Formula, parse
 from ..model import CostChain, build_chain, is_acyclic
-from ..quantile import ln_upper
+from ..quantile import ln_upper, tail_budget
 from .circuits import ArithmeticCircuit, check_circuit, lift_gate
 from .parikh import ParikhDfa, circuit_to_dfa
 
@@ -286,16 +285,7 @@ def _tail_offset(certificate: GadgetCertificate, target: int, scale: int) -> int
         expd = certificate.bookkeeping["expd"]
         degree = certificate.bookkeeping["d"]
         log_bound = exp2 * ln_upper(Fraction(2)) + expd * ln_upper(Fraction(degree)) + 1
-        p_min = Fraction(1)
-        k_max = 0
-        for key in chain.transitions:
-            for entry in chain.transitions[key]:
-                p_min = min(p_min, entry.prob)
-                k_max = max(k_max, entry.cost)
-        count = len(chain.states)
-        if k_max:
-            bound = k_max * math.ceil(count * (log_bound / p_min**count + 1))
-            offset = max(offset, bound)
+        offset = max(offset, tail_budget(chain, log_bound))
     while cost_distribution(chain, offset).overflow >= Fraction(1, scale):
         offset *= 2
     return offset

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardExceededError, NotValidatedError, SchedulerGapError
-from .formula import Formula, max_constant, satisfies
+from .formula import Formula, normalize
 from .mdp_solver import Scheduler
 from .model import CostProcess, validate
 
@@ -114,18 +114,18 @@ def estimate(
     if not report.ok:
         raise NotValidatedError(report)
     table = _compile(process)
-    horizon = max_constant(formula)
-    accepts = [satisfies(value, formula) for value in range(horizon + 2)]
+    accept = normalize(formula)
 
-    hits = trips = 0
+    tally: dict[int, int] = {}
+    trips = 0
     for index in range(n):
         try:
             cost = _run(process, table, scheduler, _BitStream(seed, index), STEP_GUARD)
         except GuardExceededError:
             trips += 1
             continue
-        if accepts[cost] if cost <= horizon else accepts[horizon + 1]:
-            hits += 1
+        tally[cost] = tally.get(cost, 0) + 1
+    hits = sum(count for cost, count in tally.items() if cost in accept)
     done = n - trips
     ratio = Fraction(hits, done) if done else Fraction(0)
     spread = (

@@ -8,11 +8,13 @@ formula's constant tail verdict. That truncation makes the search space
 finite and the optimum attainable by backward induction over cost levels.
 
 Within one cost level only zero-cost transitions matter, and they may
-form cycles; those are resolved by exact policy iteration (evaluate a
-policy with one rational linear solve, switch only on strict improvement,
-terminate because policies never repeat). Acyclic processes skip all of
-that and use a memoized recursion instead. Both engines tie-break equal
-actions toward the lowest canonical index so schedulers are reproducible.
+form cycles; the shared level kernel ``linalg.resolve_level`` resolves
+them by a pass in dependency order or, on a cycle, by exact policy
+iteration (evaluate a policy with one rational linear solve, switch only
+on strict improvement, terminate because policies never repeat). Every
+process, acyclic or not, goes through the same backward induction. Ties
+break toward the lowest canonical action index so schedulers are
+reproducible.
 """
 
 from __future__ import annotations
@@ -22,20 +24,18 @@ from fractions import Fraction
 from typing import Final, Iterable, Mapping
 
 from .errors import (
-    CyclicProcessError,
     ModelFormatError,
     NotValidatedError,
     SchedulerGapError,
     ThresholdRangeError,
 )
-from .formula import Formula, max_constant, parse, satisfies
-from .linalg import solve_linear_system
+from .formula import Formula, max_constant, normalize, parse
+from .linalg import resolve_level
 from .model import (
     CostChain,
     CostProcess,
     CostUtilityProcess,
     build_chain,
-    is_acyclic,
     validate,
     validate_cost_utility,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "SolveResult",
     "solve_max",
     "solve_min",
-    "solve_acyclic",
     "decide",
     "decide_qualitative",
     "decide_cost_utility",
@@ -108,21 +107,6 @@ def solve_max(process: CostProcess, formula: Formula) -> SolveResult:
 def solve_min(process: CostProcess, formula: Formula) -> SolveResult:
     """Minimal probability over schedulers; otherwise as ``solve_max``."""
     return _solve(process, formula, "min")
-
-
-def solve_acyclic(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
-    """Optimize on an acyclic process by plain memoized recursion.
-
-    Same contract as ``solve_max``/``solve_min`` but refuses cyclic
-    inputs instead of falling back to policy iteration.
-    """
-    _check_mode(mode)
-    report = validate(process)
-    if not report.ok:
-        raise NotValidatedError(report)
-    if not is_acyclic(process):
-        raise CyclicProcessError("control graph has a cycle")
-    return _solve_dag(process, formula, mode)
 
 
 def decide(
@@ -270,7 +254,7 @@ def decide_cost_utility(process: CostUtilityProcess, cost_cap: int, goal: int) -
                         const += prob * value[(succ, c2, u2)]
                 per_action.append((const, zeros))
             options[state] = per_action
-        vals, _ = _resolve_level(members, options, "max")
+        vals, _, _ = resolve_level(members, options, "max")
         for state in members:
             value[(state, c, u)] = vals[state]
     return value[(process.initial, 0, 0)] == 1
@@ -336,30 +320,15 @@ def scheduler_from_json(data: object) -> Scheduler:
 # Engines
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-
-
 def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     report = validate(process)
     if not report.ok:
         raise NotValidatedError(report)
-    if is_acyclic(process):
-        return _solve_dag(process, formula, mode)
-    return _solve_cyclic(process, formula, mode)
-
-
-def _trivial_initial(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
-    value = Fraction(1 if satisfies(0, formula) else 0)
-    return SolveResult(value, Scheduler(max_constant(formula), {}), mode)
-
-
-def _solve_cyclic(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
-    if process.initial == process.target:
-        return _trivial_initial(process, formula, mode)
+    accept = normalize(formula)
     budget = max_constant(formula)
-    tail = Fraction(1 if satisfies(budget + 1, formula) else 0)
+    if process.initial == process.target:
+        return SolveResult(Fraction(0 in accept), Scheduler(budget, {}), mode)
+    tail = Fraction(budget + 1 in accept)
     target = process.target
 
     # Forward sweep: which (state, cost) pairs can the walk visit at all?
@@ -381,6 +350,7 @@ def _solve_cyclic(process: CostProcess, formula: Formula, mode: str) -> SolveRes
                     seen.add((succ, total))
                     frontier.append((succ, total))
 
+    zero = Fraction(0)
     value: dict[tuple[str, int], Fraction] = {}
     entries: dict[SchedulerKey, str] = {}
     for cost in sorted(levels, reverse=True):
@@ -389,11 +359,11 @@ def _solve_cyclic(process: CostProcess, formula: Formula, mode: str) -> SolveRes
         for state in members:
             per_action = []
             for action in process.enabled[state]:
-                const = Fraction(0)
+                const = zero
                 zeros: list[tuple[str, Fraction]] = []
                 for succ, step, prob in process.transitions[(state, action)]:
                     if succ == target:
-                        if satisfies(cost + step, formula):
+                        if cost + step in accept:
                             const += prob
                     elif step == 0:
                         zeros.append((succ, prob))
@@ -402,7 +372,7 @@ def _solve_cyclic(process: CostProcess, formula: Formula, mode: str) -> SolveRes
                         const += prob * (tail if total > budget else value[(succ, total)])
                 per_action.append((const, zeros))
             options[state] = per_action
-        vals, choice = _resolve_level(members, options, mode)
+        vals, choice, _ = resolve_level(members, options, mode)
         for state in members:
             value[(state, cost)] = vals[state]
             if len(process.enabled[state]) > 1:
@@ -411,61 +381,6 @@ def _solve_cyclic(process: CostProcess, formula: Formula, mode: str) -> SolveRes
     _add_saturated_entries(process, sat_seeds, entries)
     return SolveResult(
         value[(process.initial, 0)], Scheduler(budget, entries), mode
-    )
-
-
-def _solve_dag(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
-    if process.initial == process.target:
-        return _trivial_initial(process, formula, mode)
-    budget = max_constant(formula)
-    tail = Fraction(1 if satisfies(budget + 1, formula) else 0)
-    target = process.target
-
-    memo: dict[tuple[str, int], Fraction] = {}
-    entries: dict[SchedulerKey, str] = {}
-    sat_seeds: set[str] = set()
-    stack = [(process.initial, 0)]
-    while stack:
-        state, cost = stack[-1]
-        if (state, cost) in memo:
-            stack.pop()
-            continue
-        blocked = False
-        for action in process.enabled[state]:
-            for succ, step, _ in process.transitions[(state, action)]:
-                if succ == target:
-                    continue
-                total = cost + step
-                if total > budget:
-                    sat_seeds.add(succ)
-                elif (succ, total) not in memo:
-                    stack.append((succ, total))
-                    blocked = True
-        if blocked:
-            continue
-        best: Fraction | None = None
-        best_index = 0
-        for index, action in enumerate(process.enabled[state]):
-            acc = Fraction(0)
-            for succ, step, prob in process.transitions[(state, action)]:
-                total = cost + step
-                if succ == target:
-                    if satisfies(total, formula):
-                        acc += prob
-                elif total > budget:
-                    acc += prob * tail
-                else:
-                    acc += prob * memo[(succ, total)]
-            if best is None or (acc > best if mode == "max" else acc < best):
-                best, best_index = acc, index
-        memo[(state, cost)] = best  # type: ignore[assignment]
-        if len(process.enabled[state]) > 1:
-            entries[(state, cost)] = process.enabled[state][best_index]
-        stack.pop()
-
-    _add_saturated_entries(process, sat_seeds, entries)
-    return SolveResult(
-        memo[(process.initial, 0)], Scheduler(budget, entries), mode
     )
 
 
@@ -490,121 +405,3 @@ def _add_saturated_entries(
                 if succ not in seen:
                     seen.add(succ)
                     frontier.append(succ)
-
-
-def _resolve_level(
-    states: list,
-    options: Mapping,
-    mode: str,
-) -> tuple[dict, dict]:
-    """Optimize one cost level whose internal edges all cost zero.
-
-    Args:
-        states: level members (hashable keys).
-        options: per member, one (constant, zero-edges) pair per enabled
-            action in canonical order; zero-edges point at level members.
-        mode: "max" or "min".
-
-    Returns:
-        (values, choices): the optimal value per member and the index of
-        the lowest-index optimal action.
-
-    Acyclic levels resolve by one pass in dependency order. Cyclic ones
-    run policy iteration from the all-first-action policy; evaluation is
-    an exact linear solve, guaranteed nonsingular because a zero-cost
-    recurrent class under some policy would be a forbidden end component.
-    """
-    dependencies: dict = {
-        q: {succ for _, zeros in options[q] for succ, _ in zeros} for q in states
-    }
-    order = _dependency_order(states, dependencies)
-    if order is not None:
-        values: dict = {}
-        choices: dict = {}
-        for q in order:
-            best = None
-            best_index = 0
-            for index, (const, zeros) in enumerate(options[q]):
-                acc = const
-                for succ, prob in zeros:
-                    acc += prob * values[succ]
-                if best is None or (acc > best if mode == "max" else acc < best):
-                    best, best_index = acc, index
-            values[q] = best
-            choices[q] = best_index
-        return values, choices
-
-    policy = {q: 0 for q in states}
-    while True:
-        values = _evaluate_policy(states, options, policy)
-        improved = False
-        for q in states:
-            current = values[q]
-            best_index = policy[q]
-            best = current
-            for index, (const, zeros) in enumerate(options[q]):
-                acc = const
-                for succ, prob in zeros:
-                    acc += prob * values[succ]
-                if (acc > best) if mode == "max" else (acc < best):
-                    best, best_index = acc, index
-            if best_index != policy[q]:
-                policy[q] = best_index
-                improved = True
-        if not improved:
-            break
-
-    choices = {}
-    for q in states:
-        chosen = None
-        for index, (const, zeros) in enumerate(options[q]):
-            acc = const
-            for succ, prob in zeros:
-                acc += prob * values[succ]
-            if acc == values[q]:
-                chosen = index
-                break
-        if chosen is None:
-            raise AssertionError("policy iteration left a non-optimal fixpoint")
-        choices[q] = chosen
-    return values, choices
-
-
-def _dependency_order(states: list, dependencies: Mapping) -> "list | None":
-    """Topological order with dependencies first, or None on a cycle."""
-    indegree = {q: 0 for q in states}
-    dependents: dict = {q: [] for q in states}
-    for q in states:
-        for dep in dependencies[q]:
-            if dep == q:
-                return None
-            indegree[q] += 1
-            dependents[dep].append(q)
-    ready = [q for q in states if indegree[q] == 0]
-    order = []
-    while ready:
-        q = ready.pop()
-        order.append(q)
-        for follower in dependents[q]:
-            indegree[follower] -= 1
-            if indegree[follower] == 0:
-                ready.append(follower)
-    if len(order) != len(states):
-        return None
-    return order
-
-
-def _evaluate_policy(states: list, options: Mapping, policy: Mapping) -> dict:
-    index = {q: i for i, q in enumerate(states)}
-    n = len(states)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for q in states:
-        row = index[q]
-        matrix[row][row] += Fraction(1)
-        const, zeros = options[q][policy[q]]
-        rhs[row] = const
-        for succ, prob in zeros:
-            matrix[row][index[succ]] -= prob
-    solution = solve_linear_system(matrix, rhs)
-    return {q: solution[index[q]] for q in states}

@@ -163,7 +163,15 @@ class CostProcess:
 
     @cached_property
     def _acyclic(self) -> bool:
-        return _digraph_acyclic(self.states, self.control_graph.edges)
+        # Acyclic iff no self-loop and every strongly connected component
+        # is a single state.
+        successors: dict[str, list[str]] = {}
+        for src, dst in self.control_graph.edges:
+            if src == dst:
+                return False
+            successors.setdefault(src, []).append(dst)
+        components = _strongly_connected(list(self.states), successors)
+        return all(len(component) == 1 for component in components)
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -601,32 +609,6 @@ def _strongly_connected(
                 parent = call_stack[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[vertex])
     return result
-
-
-def _digraph_acyclic(vertices: tuple[str, ...], edges: frozenset[tuple[str, str]]) -> bool:
-    adjacency: dict[str, list[str]] = {v: [] for v in vertices}
-    for src, dst in edges:
-        adjacency[src].append(dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in vertices}
-    for root in vertices:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            vertex, pos = stack.pop()
-            if pos < len(adjacency[vertex]):
-                stack.append((vertex, pos + 1))
-                succ = adjacency[vertex][pos]
-                if color[succ] == GRAY:
-                    return False
-                if color[succ] == WHITE:
-                    color[succ] = GRAY
-                    stack.append((succ, 0))
-            else:
-                color[vertex] = BLACK
-    return True
 
 
 # ---------------------------------------------------------------------------

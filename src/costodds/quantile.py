@@ -101,6 +101,16 @@ def _description_extremes(process: CostProcess) -> tuple[Fraction, int]:
     return p_min, k_max
 
 
+def tail_budget(process: CostProcess, log_bound: Fraction) -> int:
+    """The bound formula k_max * ceil(n * (L / p_min**n + 1)) for L = log_bound.
+
+    Every scheduler keeps P(K > B) <= e**-L at the returned budget B.
+    """
+    p_min, k_max = _description_extremes(process)
+    n = len(process.states)
+    return k_max * math.ceil(n * (log_bound / p_min**n + 1))
+
+
 def budget_upper_bound(process: CostProcess, threshold: Fraction) -> QuantileBounds:
     """Budget guaranteed to satisfy P(K <= B) >= threshold for every scheduler.
 
@@ -122,16 +132,13 @@ def budget_upper_bound(process: CostProcess, threshold: Fraction) -> QuantileBou
     if not report.ok:
         raise NotValidatedError(report)
     p_min, k_max = _description_extremes(process)
-    n = len(process.states)
-    if threshold == 0:
-        return QuantileBounds(p_min, k_max, k_max * n, Fraction(0))
     bits = 64
     log_bound = ln_upper(1 / (1 - threshold), bits)
-    bound = k_max * math.ceil(n * (log_bound / p_min**n + 1))
+    bound = tail_budget(process, log_bound)
     while True:
         bits *= 2
         tighter_log = ln_upper(1 / (1 - threshold), bits)
-        tighter = k_max * math.ceil(n * (tighter_log / p_min**n + 1))
+        tighter = tail_budget(process, tighter_log)
         if tighter == bound:
             return QuantileBounds(p_min, k_max, bound, log_bound)
         bound, log_bound = tighter, tighter_log

@@ -428,10 +428,12 @@ def test_json_output_is_canonical(capsys, choice_model):
     assert out == canonical_json(json.loads(out)) + "\n"
 
 
-def test_usage_errors_exit_with_two(capsys):
+def test_usage_errors_exit_with_two(capsys, two_flip_model):
     assert main(["wat"]) == 2
     assert main(["solve"]) == 2
     assert main([]) == 2
+    deep = "!" * 5000 + "x<=1"
+    assert main(["solve", "--model", two_flip_model, "--formula", deep]) == 2
     capsys.readouterr()
 
 

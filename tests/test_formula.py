@@ -32,6 +32,7 @@ formulas = st.recursive(
         ("x<=2 & x>=2", ((2, 2),)),
         ("x>=0", ((0, None),)),
         ("x<=3 & x>=5", ()),
+        ("x<=1000000000000 & x>=5", ((5, 10**12),)),
     ],
 )
 def test_parse_and_normalize(text, spans):
@@ -40,7 +41,12 @@ def test_parse_and_normalize(text, spans):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "x<5", "x>5", "y<=1", "x<=", "x<=1 &", "((x<=1)", "x<=1)", "x<=-1", "5<=x<=", "x"],
+    [
+        "", "x<5", "x>5", "y<=1", "x<=", "x<=1 &", "((x<=1)", "x<=1)", "x<=-1", "5<=x<=", "x",
+        "!" * 5000 + "x<=1",
+        "(" * 3000 + "x<=1" + ")" * 3000,
+        " & ".join(["x<=5"] * 3000),
+    ],
 )
 def test_syntax_errors(text):
     with pytest.raises(FormulaSyntaxError):

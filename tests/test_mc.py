@@ -59,6 +59,11 @@ def test_scheduler_choices_drive_the_sampled_mass():
         assert abs(float(report.estimate - exact)) <= report.ci_halfwidth
 
 
+def test_huge_bounds_cost_nothing_extra():
+    report = estimate(two_flip_chain(), None, co.parse("x<=1000000000000"), 50, 4)
+    assert (report.n, report.hits) == (50, 50)
+
+
 def test_choice_states_need_a_scheduler():
     with pytest.raises(SchedulerGapError):
         sample_run(choice_example(), None, 1)

@@ -8,7 +8,6 @@ import pytest
 import costodds as co
 from costodds import (
     TOP,
-    CyclicProcessError,
     ModelFormatError,
     NotValidatedError,
     Scheduler,
@@ -213,26 +212,6 @@ def test_witness_schedulers_attain_the_reported_value():
             result = solver(process, formula)
             induced = co.induce_chain(process, result.scheduler)
             assert co.solve_chain(induced, formula) == result.value
-
-
-def test_solve_acyclic_agrees_and_refuses_cycles():
-    rng = Random(22)
-    seen = 0
-    while seen < 15:
-        process = random_branching_process(rng)
-        formula = random_formula(rng)
-        if co.is_acyclic(process):
-            for mode, solver in (("max", co.solve_max), ("min", co.solve_min)):
-                assert (
-                    co.solve_acyclic(process, formula, mode).value
-                    == solver(process, formula).value
-                )
-            seen += 1
-    cyclic = co.build_chain(
-        [("q0", "q0", 1, HALF), ("q0", "t", 0, HALF)], "q0", "t"
-    )
-    with pytest.raises(CyclicProcessError):
-        co.solve_acyclic(cyclic, co.parse("x<=1"), "max")
 
 
 def test_constant_formulas_solve_to_zero_or_one():
