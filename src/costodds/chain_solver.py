@@ -97,7 +97,7 @@ def cost_distribution(chain: CostChain, budget: int) -> TruncatedDistribution:
             bits = count.numerator.bit_length()
             if bits > stats["max_numerator_bits"]:
                 stats["max_numerator_bits"] = bits
-            for succ, cost, prob in dist[q]:
+            for succ, cost, prob, _ in dist[q]:
                 flow = count * prob
                 if succ == target:
                     total = level + cost
@@ -155,7 +155,7 @@ def _zero_level_visits(
     seen = set(inflow)
     predecessors: dict[str, list[tuple[str, Fraction]]] = {}
     for q in relevant:
-        for succ, cost, prob in dist[q]:
+        for succ, cost, prob, _ in dist[q]:
             if cost == 0 and succ != target:
                 if succ not in seen:
                     seen.add(succ)

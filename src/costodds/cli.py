@@ -36,15 +36,7 @@ from .gadgets import (
 )
 from .mc import estimate
 from .mdp_solver import scheduler_from_json, scheduler_to_json, solve_max, solve_min
-from .model import (
-    cost_utility_from_json,
-    cost_utility_to_json,
-    is_chain,
-    model_from_json,
-    model_to_json,
-    validate,
-    validate_cost_utility,
-)
+from .model import is_chain, model_from_json, model_to_json, validate
 from .quantile import quantile_query
 from .rational import format_rational, parse_rational
 
@@ -88,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = _command(commands, "validate", "Check a model file and report findings.")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--kind", choices=("cost", "cost-utility"), default="cost")
     sp.set_defaults(handler=_cmd_validate)
 
     sp = _command(commands, "solve", "Optimal probability that the final cost fits the formula.")
@@ -216,11 +207,7 @@ def _weights(text: str) -> list[int]:
 
 
 def _cmd_validate(args) -> int:
-    data = _load_json(args.model)
-    if args.kind == "cost-utility":
-        report = validate_cost_utility(cost_utility_from_json(data))
-    else:
-        report = validate(model_from_json(data))
+    report = validate(model_from_json(_load_json(args.model)))
     payload = {
         "ok": report.ok,
         "findings": [
@@ -405,11 +392,11 @@ def _cmd_gadget_cu(args) -> int:
     process = model_from_json(_load_json(args.model))
     result = qualitative_to_cost_utility(process, args.total)
     payload = {
-        "model": cost_utility_to_json(result),
+        "model": model_to_json(result),
         "cost_cap": args.total,
         "goal": args.total,
     }
-    _emit(args, payload, [canonical_json(cost_utility_to_json(result))])
+    _emit(args, payload, [canonical_json(model_to_json(result))])
     return 0
 
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from ..errors import NotValidatedError
-from ..model import CostProcess, CostUtilityProcess, build_cost_utility_process, validate
+from ..model import CostProcess, build_process, validate
 
 __all__ = ["qualitative_to_cost_utility"]
 
 
-def qualitative_to_cost_utility(process: CostProcess, total: int) -> CostUtilityProcess:
+def qualitative_to_cost_utility(process: CostProcess, total: int) -> CostProcess:
     """Duplicate every cost onto the utility track.
 
     A scheduler hits accumulated cost exactly ``total`` almost surely
@@ -22,12 +22,10 @@ def qualitative_to_cost_utility(process: CostProcess, total: int) -> CostUtility
     if not report.ok:
         raise NotValidatedError(report)
     entries = [
-        (state, action, entry.successor, entry.cost, entry.cost, entry.prob)
+        (state, action, entry.successor, entry.cost, entry.prob, entry.cost)
         for state in process.states
         if state != process.target
         for action in process.enabled[state]
         for entry in process.transitions[(state, action)]
     ]
-    return build_cost_utility_process(
-        entries, process.initial, process.target, states=process.states
-    )
+    return build_process(entries, process.initial, process.target, states=process.states)

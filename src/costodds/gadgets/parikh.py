@@ -3,7 +3,8 @@
 For a designated gate g, ``circuit_to_dfa`` builds a deterministic
 letter-labelled graph and a letter-count vector f such that the number
 of source-to-sink paths using each letter exactly f times equals
-val(g). ``count_parikh_paths`` is the exhaustive oracle for that count.
+val(g) for every gate up to level 3. ``count_parikh_paths`` is the
+exhaustive oracle for that count.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ __all__ = ["ParikhDfa", "circuit_to_dfa", "count_parikh_paths", "PATH_GUARD"]
 
 # Ceiling on explored partial paths in the brute-force counter.
 PATH_GUARD = 10**6
+
+# Highest gate level the construction counts exactly. Above it the
+# doubled letter budgets let the two passes of a product gate split a
+# lower gate's loop unevenly (1 + 3 passes through y = x*x instead of
+# 2 + 2), so the count exceeds the gate value.
+_MAX_LEVEL = 3
 
 BASE_LETTER = "a"
 
@@ -44,9 +51,18 @@ def circuit_to_dfa(
     gate the letters a.v, b.v, c.v. Sibling letters are consumed by a
     deterministic chain (lexicographic order) in front of each gadget,
     which keeps qualifying paths of different gates from mixing.
+
+    Raises:
+        PreconditionError: for a gate above level 3, where the count is
+            not exact.
     """
     check_circuit(circuit)
     top = circuit.gate(gate_id).level
+    if top > _MAX_LEVEL:
+        raise PreconditionError(
+            f"gate {gate_id!r} sits on level {top}; path counts are exact only "
+            f"up to level {_MAX_LEVEL}"
+        )
     kept = [gate for gate in circuit.gates if gate.level <= top]
     by_level: dict[int, list] = {}
     for gate in kept:

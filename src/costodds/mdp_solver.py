@@ -19,6 +19,7 @@ reproducible.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Final, Iterable, Mapping
@@ -31,14 +32,7 @@ from .errors import (
 )
 from .formula import Formula, max_constant, normalize, parse
 from .linalg import resolve_level
-from .model import (
-    CostChain,
-    CostProcess,
-    CostUtilityProcess,
-    build_chain,
-    validate,
-    validate_cost_utility,
-)
+from .model import CostChain, CostProcess, build_chain, build_process, validate
 
 __all__ = [
     "TOP",
@@ -83,11 +77,17 @@ class Scheduler:
         else:
             key = (state, cost)
         try:
-            return self.entries[key]
+            action = self.entries[key]
         except KeyError:
             raise SchedulerGapError(
                 f"scheduler has no entry for state {state!r} at cost {key[1]}"
             ) from None
+        if action not in acts:
+            raise SchedulerGapError(
+                f"scheduler plays {action!r} at state {state!r} (cost {key[1]}), "
+                "which that state does not enable"
+            )
+        return action
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def induce_chain(process: CostProcess, scheduler: Scheduler) -> CostChain:
     while frontier:
         state, cost = frontier.pop()
         action = scheduler.action_at(process, state, cost)
-        for succ, step, prob in process.transitions[(state, action)]:
+        for succ, step, prob, _ in process.transitions[(state, action)]:
             if succ == target:
                 rows.append((name(state, cost), target, step, prob))
                 continue
@@ -194,70 +194,54 @@ def induce_chain(process: CostProcess, scheduler: Scheduler) -> CostChain:
     return build_chain(rows, name(*start), target)
 
 
-def decide_cost_utility(process: CostUtilityProcess, cost_cap: int, goal: int) -> bool:
+def decide_cost_utility(process: CostProcess, cost_cap: int, goal: int) -> bool:
     """Almost-sure combined query: cost at most ``cost_cap`` and utility at least ``goal``.
 
-    Maximizes over schedulers on the product truncation where cost is
-    pruned above the cap (such runs can never satisfy the conjunction)
-    and utility saturates at the goal.
+    Decided by ``solve_max`` under ``x<=cost_cap`` on a product process
+    whose states pair a state with its utility saturated at the goal.
+    Only pairs that some walk reaches within the cap are built; an
+    arrival at the target short of the goal, or an edge to a pair beyond
+    the cap, goes to the target at cost ``cost_cap + 1``, which no run
+    within the cap can pay.
     """
     for label, bound in (("cost_cap", cost_cap), ("goal", goal)):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise ValueError(f"{label} must be a non-negative int, got {bound!r}")
-    report = validate_cost_utility(process)
+    report = validate(process)
     if not report.ok:
         raise NotValidatedError(report)
     target = process.target
     if process.initial == target:
         return goal == 0
 
-    start = (process.initial, 0, 0)
-    levels: dict[tuple[int, int], set[str]] = {}
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        state, c, u = frontier.pop()
-        levels.setdefault((c, u), set()).add(state)
+    # Cheapest cost at which the walk reaches each (state, utility) pair.
+    start = (process.initial, 0)
+    cheapest = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        cost, (state, utility) = heapq.heappop(heap)
+        if cost > cheapest[(state, utility)]:
+            continue
         for action in process.enabled[state]:
-            for succ, kc, ku, _ in process.transitions[(state, action)]:
-                if succ == target:
-                    continue
-                c2 = c + kc
-                if c2 > cost_cap:
-                    continue
-                u2 = min(u + ku, goal)
-                key = (succ, c2, u2)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(key)
+            for succ, step, _, gain in process.transitions[(state, action)]:
+                pair = (succ, min(utility + gain, goal))
+                total = cost + step
+                if succ != target and total < cheapest.get(pair, cost_cap + 1):
+                    cheapest[pair] = total
+                    heapq.heappush(heap, (total, pair))
 
-    value: dict[tuple[str, int, int], Fraction] = {}
-    for c, u in sorted(levels, key=lambda cu: cu[0] + cu[1], reverse=True):
-        members = sorted(levels[(c, u)])
-        options: dict[str, list[tuple[Fraction, list[tuple[str, Fraction]]]]] = {}
-        for state in members:
-            per_action = []
-            for action in process.enabled[state]:
-                const = Fraction(0)
-                zeros: list[tuple[str, Fraction]] = []
-                for succ, kc, ku, prob in process.transitions[(state, action)]:
-                    c2 = c + kc
-                    u2 = min(u + ku, goal)
-                    if c2 > cost_cap:
-                        continue
-                    if succ == target:
-                        if u2 == goal:
-                            const += prob
-                    elif (c2, u2) == (c, u):
-                        zeros.append((succ, prob))
-                    else:
-                        const += prob * value[(succ, c2, u2)]
-                per_action.append((const, zeros))
-            options[state] = per_action
-        vals, _, _ = resolve_level(members, options, "max")
-        for state in members:
-            value[(state, c, u)] = vals[state]
-    return value[(process.initial, 0, 0)] == 1
+    goal_pair = (target, goal)
+    rows = []
+    for state, utility in cheapest:
+        for action in process.enabled[state]:
+            for succ, step, prob, gain in process.transitions[(state, action)]:
+                pair = (succ, min(utility + gain, goal))
+                if pair == goal_pair or pair in cheapest:
+                    rows.append(((state, utility), action, pair, step, prob))
+                else:
+                    rows.append(((state, utility), action, goal_pair, cost_cap + 1, prob))
+    product = build_process(rows, start, goal_pair)
+    return solve_max(product, parse(f"x<={cost_cap}")).value == 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +324,7 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
         state, cost = frontier.pop()
         levels.setdefault(cost, set()).add(state)
         for action in process.enabled[state]:
-            for succ, step, _ in process.transitions[(state, action)]:
+            for succ, step, _, _ in process.transitions[(state, action)]:
                 if succ == target:
                     continue
                 total = cost + step
@@ -361,7 +345,7 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
             for action in process.enabled[state]:
                 const = zero
                 zeros: list[tuple[str, Fraction]] = []
-                for succ, step, prob in process.transitions[(state, action)]:
+                for succ, step, prob, _ in process.transitions[(state, action)]:
                     if succ == target:
                         if cost + step in accept:
                             const += prob
@@ -401,7 +385,7 @@ def _add_saturated_entries(
         if len(process.enabled[state]) > 1:
             entries[(state, TOP)] = process.enabled[state][0]
         for action in process.enabled[state]:
-            for succ, _, _ in process.transitions[(state, action)]:
+            for succ, _, _, _ in process.transitions[(state, action)]:
                 if succ not in seen:
                     seen.add(succ)
                     frontier.append(succ)

@@ -30,40 +30,31 @@ __all__ = [
     "Transition",
     "CostProcess",
     "CostChain",
-    "CostUtilityTransition",
-    "CostUtilityProcess",
     "Finding",
     "ValidationReport",
     "ControlGraph",
     "build_process",
     "build_chain",
-    "build_cost_utility_process",
     "validate",
-    "validate_cost_utility",
     "is_chain",
     "is_acyclic",
     "model_from_json",
     "model_to_json",
-    "cost_utility_from_json",
-    "cost_utility_to_json",
 ]
 
 
 class Transition(NamedTuple):
-    """One weighted edge of a distribution: successor, cost, probability."""
+    """One weighted edge of a distribution: successor, cost, probability.
+
+    ``utility`` is a second non-negative counter, read only by the
+    cost-utility query ``decide_cost_utility``; every other engine
+    ignores it.
+    """
 
     successor: str
     cost: int
     prob: Fraction
-
-
-class CostUtilityTransition(NamedTuple):
-    """Two-counter variant: successor, cost, utility, probability."""
-
-    successor: str
-    cost: int
-    utility: int
-    prob: Fraction
+    utility: int = 0
 
 
 @dataclass(frozen=True)
@@ -175,62 +166,66 @@ class CostProcess:
 
     @cached_property
     def _report(self) -> ValidationReport:
-        return _validate_generic(
-            states=self.states,
-            initial=self.initial,
-            target=self.target,
-            enabled=self.enabled,
-            distributions={
-                key: tuple((e.successor, e.prob) for e in entries)
-                for key, entries in self.transitions.items()
-            },
-            target_loop_ok=_target_loop_ok(self),
-        )
+        findings: list[Finding] = []
+        for state in self.states:
+            for action in self.enabled[state]:
+                entries = self.transitions[(state, action)]
+                total = sum((e.prob for e in entries), Fraction(0))
+                if total != 1:
+                    findings.append(
+                        Finding(
+                            "bad-distribution",
+                            (state, action),
+                            f"probabilities sum to {format_rational(total)}, not 1",
+                        )
+                    )
+
+        acts = self.enabled[self.target]
+        if len(acts) != 1 or self.transitions[(self.target, acts[0])] != (
+            Transition(self.target, 0, Fraction(1)),
+        ):
+            findings.append(
+                Finding(
+                    "bad-target-loop",
+                    (self.target,),
+                    "target needs exactly one action with a single zero-cost "
+                    "self-loop of probability 1",
+                )
+            )
+
+        support = {
+            key: tuple(e.successor for e in entries)
+            for key, entries in self.transitions.items()
+        }
+        co_reach = _backward_reachable(self.states, self.enabled, support, self.target)
+        stranded = sorted(q for q in self.reachable if q not in co_reach)
+        if stranded:
+            findings.append(
+                Finding(
+                    "unreachable-target",
+                    tuple(stranded),
+                    "these reachable states have no path to the target",
+                )
+            )
+
+        for component in _maximal_end_components(
+            sorted(self.reachable), self.enabled, support
+        ):
+            if component != frozenset((self.target,)):
+                findings.append(
+                    Finding(
+                        "bad-mec",
+                        tuple(sorted(component)),
+                        "end component other than the target singleton is reachable",
+                    )
+                )
+
+        return ValidationReport(not findings, tuple(findings))
 
 
 # A cost chain is a cost process with a single enabled action everywhere;
 # the alias documents intent at call sites.
 CostChain = CostProcess
-
-
-@dataclass(frozen=True, eq=False)
-class CostUtilityProcess:
-    """Cost process whose transitions carry a (cost, utility) pair each."""
-
-    states: tuple[str, ...]
-    initial: str
-    target: str
-    enabled: Mapping[str, tuple[str, ...]]
-    transitions: Mapping[tuple[str, str], tuple[CostUtilityTransition, ...]]
-
-    @cached_property
-    def _report(self) -> ValidationReport:
-        ok_loop = False
-        acts = self.enabled[self.target]
-        if len(acts) == 1:
-            entries = self.transitions[(self.target, acts[0])]
-            ok_loop = entries == (
-                CostUtilityTransition(self.target, 0, 0, Fraction(1)),
-            )
-        return _validate_generic(
-            states=self.states,
-            initial=self.initial,
-            target=self.target,
-            enabled=self.enabled,
-            distributions={
-                key: tuple((e.successor, e.prob) for e in entries)
-                for key, entries in self.transitions.items()
-            },
-            target_loop_ok=ok_loop,
-        )
-
-
-def _target_loop_ok(process: CostProcess) -> bool:
-    acts = process.enabled[process.target]
-    if len(acts) != 1:
-        return False
-    entries = process.transitions[(process.target, acts[0])]
-    return entries == (Transition(process.target, 0, Fraction(1)),)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +247,7 @@ def _check_cost(cost: int, where: str) -> int:
 
 
 def build_process(
-    entries: Iterable[tuple[str, str, str, int, Fraction]],
+    entries: Iterable[tuple],
     initial: str,
     target: str,
     states: Iterable[str] | None = None,
@@ -260,10 +255,11 @@ def build_process(
     """Assemble a ``CostProcess`` from raw transition tuples.
 
     Args:
-        entries: tuples (state, action, successor, cost, prob). Order fixes
-            the canonical action ordering per state and, absent an explicit
-            ``states`` list, the canonical state ordering. Duplicate
-            (state, action, successor, cost) rows merge by summing probs.
+        entries: tuples (state, action, successor, cost, prob[, utility]);
+            the utility defaults to 0. Order fixes the canonical action
+            ordering per state and, absent an explicit ``states`` list, the
+            canonical state ordering. Duplicate (state, action, successor,
+            cost, utility) rows merge by summing probs.
         initial: initial state id.
         target: target state id. If it never appears in ``entries``, the
             mandatory absorbing self-loop is added automatically.
@@ -275,76 +271,12 @@ def build_process(
     """
     order: dict[str, None] = {}
     enabled: dict[str, dict[str, None]] = {}
-    merged: dict[tuple[str, str], dict[tuple[str, int], Fraction]] = {}
-
-    order.setdefault(initial)
-    for state, action, successor, cost, prob in entries:
-        where = f"({state}, {action}) -> {successor}"
-        order.setdefault(state)
-        order.setdefault(successor)
-        enabled.setdefault(state, {}).setdefault(action)
-        bucket = merged.setdefault((state, action), {})
-        key = (successor, _check_cost(cost, where))
-        bucket[key] = bucket.get(key, Fraction(0)) + _check_prob(prob, where)
-    order.setdefault(target)
-
-    if target not in enabled:
-        enabled[target] = {"a": None}
-        merged[(target, "a")] = {(target, 0): Fraction(1)}
-
-    if states is not None:
-        explicit = list(states)
-        missing = [s for s in order if s not in explicit]
-        if missing:
-            raise ModelFormatError(f"states list is missing {missing}")
-        state_order = tuple(dict.fromkeys(explicit))
-    else:
-        state_order = tuple(order)
-
-    for state in state_order:
-        if state not in enabled:
-            raise ModelFormatError(f"state {state!r} has no enabled action")
-
-    transitions = {
-        key: tuple(
-            Transition(succ, cost, prob)
-            for (succ, cost), prob in bucket.items()
-        )
-        for key, bucket in merged.items()
-    }
-    enabled_final = {state: tuple(acts) for state, acts in enabled.items()}
-    return CostProcess(state_order, initial, target, enabled_final, transitions)
-
-
-def build_chain(
-    entries: Iterable[tuple[str, str, int, Fraction]],
-    initial: str,
-    target: str,
-    states: Iterable[str] | None = None,
-) -> CostChain:
-    """Assemble a cost chain; every state gets the single action "a"."""
-    return build_process(
-        ((state, "a", succ, cost, prob) for state, succ, cost, prob in entries),
-        initial,
-        target,
-        states,
-    )
-
-
-def build_cost_utility_process(
-    entries: Iterable[tuple[str, str, str, int, int, Fraction]],
-    initial: str,
-    target: str,
-    states: Iterable[str] | None = None,
-) -> CostUtilityProcess:
-    """Assemble a two-counter process from (state, action, succ, cost, utility, prob) rows."""
-    order: dict[str, None] = {}
-    enabled: dict[str, dict[str, None]] = {}
     merged: dict[tuple[str, str], dict[tuple[str, int, int], Fraction]] = {}
 
     order.setdefault(initial)
-    for state, action, successor, cost, utility, prob in entries:
+    for state, action, successor, cost, prob, *extra in entries:
         where = f"({state}, {action}) -> {successor}"
+        (utility,) = extra or (0,)
         order.setdefault(state)
         order.setdefault(successor)
         enabled.setdefault(state, {}).setdefault(action)
@@ -372,13 +304,28 @@ def build_cost_utility_process(
 
     transitions = {
         key: tuple(
-            CostUtilityTransition(succ, cost, utility, prob)
+            Transition(succ, cost, prob, utility)
             for (succ, cost, utility), prob in bucket.items()
         )
         for key, bucket in merged.items()
     }
     enabled_final = {state: tuple(acts) for state, acts in enabled.items()}
-    return CostUtilityProcess(state_order, initial, target, enabled_final, transitions)
+    return CostProcess(state_order, initial, target, enabled_final, transitions)
+
+
+def build_chain(
+    entries: Iterable[tuple[str, str, int, Fraction]],
+    initial: str,
+    target: str,
+    states: Iterable[str] | None = None,
+) -> CostChain:
+    """Assemble a cost chain; every state gets the single action "a"."""
+    return build_process(
+        ((state, "a", succ, cost, prob) for state, succ, cost, prob in entries),
+        initial,
+        target,
+        states,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -407,80 +354,6 @@ def validate(process: CostProcess) -> ValidationReport:
         surely under every scheduler).
     """
     return process._report
-
-
-def validate_cost_utility(process: CostUtilityProcess) -> ValidationReport:
-    """Same checks as ``validate`` for two-counter processes."""
-    return process._report
-
-
-def _validate_generic(
-    states: tuple[str, ...],
-    initial: str,
-    target: str,
-    enabled: Mapping[str, tuple[str, ...]],
-    distributions: Mapping[tuple[str, str], tuple[tuple[str, Fraction], ...]],
-    target_loop_ok: bool,
-) -> ValidationReport:
-    findings: list[Finding] = []
-
-    for state in states:
-        for action in enabled[state]:
-            total = sum((p for _, p in distributions[(state, action)]), Fraction(0))
-            if total != 1:
-                findings.append(
-                    Finding(
-                        "bad-distribution",
-                        (state, action),
-                        f"probabilities sum to {format_rational(total)}, not 1",
-                    )
-                )
-
-    if not target_loop_ok:
-        findings.append(
-            Finding(
-                "bad-target-loop",
-                (target,),
-                "target needs exactly one action with a single zero-cost self-loop of probability 1",
-            )
-        )
-
-    support: dict[tuple[str, str], tuple[str, ...]] = {
-        key: tuple(succ for succ, _ in entries) for key, entries in distributions.items()
-    }
-
-    reachable = {initial}
-    frontier = [initial]
-    while frontier:
-        state = frontier.pop()
-        for action in enabled[state]:
-            for succ in support[(state, action)]:
-                if succ not in reachable:
-                    reachable.add(succ)
-                    frontier.append(succ)
-
-    co_reach = _backward_reachable(states, enabled, support, target)
-    stranded = sorted(q for q in reachable if q not in co_reach)
-    if stranded:
-        findings.append(
-            Finding(
-                "unreachable-target",
-                tuple(stranded),
-                "these reachable states have no path to the target",
-            )
-        )
-
-    for component in _maximal_end_components(sorted(reachable), enabled, support):
-        if component != frozenset((target,)):
-            findings.append(
-                Finding(
-                    "bad-mec",
-                    tuple(sorted(component)),
-                    "end component other than the target singleton is reachable",
-                )
-            )
-
-    return ValidationReport(not findings, tuple(findings))
 
 
 def _backward_reachable(
@@ -616,20 +489,26 @@ def _strongly_connected(
 
 
 def model_to_json(process: CostProcess) -> dict:
-    """Serialize to the interchange dict; chains omit the "action" field."""
-    chain = is_chain(process)
+    """Serialize to the interchange dict.
+
+    Chains omit the "action" field. A process with any nonzero utility
+    names the action and the utility on every row.
+    """
+    utilities = any(
+        entry.utility for entries in process.transitions.values() for entry in entries
+    )
+    with_action = utilities or not is_chain(process)
     rows = []
     for state in process.states:
         for action in process.enabled[state]:
             for entry in process.transitions[(state, action)]:
                 row = {"from": state}
-                if not chain:
+                if with_action:
                     row["action"] = action
-                row.update(
-                    to=entry.successor,
-                    cost=str(entry.cost),
-                    prob=format_rational(entry.prob),
-                )
+                row.update(to=entry.successor, cost=str(entry.cost))
+                if utilities:
+                    row["utility"] = str(entry.utility)
+                row["prob"] = format_rational(entry.prob)
                 rows.append(row)
     return {
         "states": list(process.states),
@@ -640,7 +519,10 @@ def model_to_json(process: CostProcess) -> dict:
 
 
 def model_from_json(data: object) -> CostProcess:
-    """Parse the interchange dict produced by ``model_to_json``."""
+    """Parse the interchange dict produced by ``model_to_json``.
+
+    A row without "utility" has utility 0.
+    """
     rows, states, initial, target = _parse_model_shell(data)
     has_action = [isinstance(row, dict) and "action" in row for row in rows]
     if any(has_action) and not all(has_action):
@@ -658,53 +540,10 @@ def model_from_json(data: object) -> CostProcess:
                 dst,
                 parse_cost(row.get("cost"), f"cost of {src}->{dst}"),
                 parse_rational(row.get("prob"), f"prob of {src}->{dst}"),
+                parse_cost(row.get("utility", 0), f"utility of {src}->{dst}"),
             )
         )
     return build_process(entries, initial, target, states)
-
-
-def cost_utility_to_json(process: CostUtilityProcess) -> dict:
-    rows = []
-    for state in process.states:
-        for action in process.enabled[state]:
-            for entry in process.transitions[(state, action)]:
-                rows.append(
-                    {
-                        "from": state,
-                        "action": action,
-                        "to": entry.successor,
-                        "cost": str(entry.cost),
-                        "utility": str(entry.utility),
-                        "prob": format_rational(entry.prob),
-                    }
-                )
-    return {
-        "states": list(process.states),
-        "initial": process.initial,
-        "target": process.target,
-        "transitions": rows,
-    }
-
-
-def cost_utility_from_json(data: object) -> CostUtilityProcess:
-    rows, states, initial, target = _parse_model_shell(data)
-    entries = []
-    for row in rows:
-        src, dst = _parse_endpoint(row)
-        action = row.get("action", "a")
-        if not isinstance(action, str):
-            raise ModelFormatError(f"action must be a string, got {action!r}")
-        entries.append(
-            (
-                src,
-                action,
-                dst,
-                parse_cost(row.get("cost"), f"cost of {src}->{dst}"),
-                parse_cost(row.get("utility"), f"utility of {src}->{dst}"),
-                parse_rational(row.get("prob"), f"prob of {src}->{dst}"),
-            )
-        )
-    return build_cost_utility_process(entries, initial, target, states)
 
 
 def _parse_model_shell(data: object) -> tuple[list, list[str], str, str]:

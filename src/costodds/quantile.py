@@ -93,7 +93,7 @@ def _description_extremes(process: CostProcess) -> tuple[Fraction, int]:
     k_max = 0
     for state in process.states:
         for action in process.enabled[state]:
-            for _, cost, prob in process.transitions[(state, action)]:
+            for _, cost, prob, _ in process.transitions[(state, action)]:
                 if prob < p_min:
                     p_min = prob
                 if cost > k_max:
@@ -201,7 +201,7 @@ def _worst_case_cost(process: CostProcess, mode: str) -> "int | None":
             best: "int | None" = None
             for action in process.enabled[state]:
                 worst = 0
-                for succ, cost, _ in process.transitions[(state, action)]:
+                for succ, cost, _, _ in process.transitions[(state, action)]:
                     reach = dist[succ]
                     candidate = infinite if reach >= infinite else cost + reach
                     if candidate > worst:

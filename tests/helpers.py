@@ -355,6 +355,23 @@ LEAF_ROWS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
 )
 
 
+def level_four_tower() -> ArithmeticCircuit:
+    """x = 1+1, y = x*x, z = y+y, w = z*z = 64, and w2 = z2*z = 32 with z2 = 4."""
+    return make_circuit(
+        [
+            *LEAF_ROWS,
+            ("x", "plus", ("one", "one")),
+            ("y", "times", ("x", "x")),
+            ("z", "plus", ("y", "y")),
+            ("zero1", "plus", ("zero", "zero")),
+            ("zero2", "times", ("zero1", "zero1")),
+            ("z2", "plus", ("y", "zero2")),
+            ("w", "times", ("z", "z")),
+            ("w2", "times", ("z2", "z")),
+        ]
+    )
+
+
 def _pairings(ids: list[str]) -> list[tuple[str, str]]:
     """Unordered input pairs over one level, repetition allowed."""
     return [(a, b) for pos, a in enumerate(ids) for b in ids[pos:]]

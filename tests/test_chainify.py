@@ -20,7 +20,7 @@ from costodds.gadgets import (
     scale_factor,
     typed_to_chain,
 )
-from helpers import posslp_corpus
+from helpers import level_four_tower, posslp_corpus
 
 ONE_LEAF = make_circuit([("l", "one", ())])
 ONE_PLUS_ONE = make_circuit(
@@ -240,3 +240,15 @@ def test_comparison_handles_cyclic_square_chains():
         chain, formula, _ = posslp_instance(circuit, first, second)
         verdict = co.solve_chain(chain, formula) >= Fraction(1, 2)
         assert verdict == (eval_circuit(circuit, first) >= eval_circuit(circuit, second))
+
+
+def test_gates_lifted_above_level_three_are_refused():
+    # A level-3 gate of value 4 lifted to level 5 used to certify 24, and
+    # w2 (32) against w (64) used to answer ">= 1/2".
+    tower = level_four_tower()
+    once, mid = lift_gate(tower, "z2")
+    twice, top = lift_gate(once, mid)
+    with pytest.raises(PreconditionError, match="level 5"):
+        circuit_to_chain(twice, top)
+    with pytest.raises(PreconditionError, match="level"):
+        posslp_instance(tower, "w2", "w")

@@ -7,7 +7,7 @@ import pytest
 import costodds as co
 from costodds.cli import canonical_json, main
 from costodds.gadgets import circuit_to_json, make_circuit
-from helpers import choice_example, geometric_chain, two_flip_chain
+from helpers import choice_example, geometric_chain, level_four_tower, two_flip_chain
 
 
 def run(capsys, *argv):
@@ -65,10 +65,12 @@ def test_validate_handles_cost_utility_models(capsys, tmp_path):
     from costodds.gadgets import qualitative_to_cost_utility
 
     lifted = qualitative_to_cost_utility(choice_example(), 4)
-    path = write_json(tmp_path, "cu.json", co.cost_utility_to_json(lifted))
-    code, out, _ = run(capsys, "validate", "--kind", "cost-utility", "--model", path)
+    path = write_json(tmp_path, "cu.json", co.model_to_json(lifted))
+    code, out, _ = run(capsys, "validate", "--model", path)
     assert code == 0
     assert out == "valid\n"
+    assert main(["validate", "--kind", "cost-utility", "--model", path]) == 2
+    capsys.readouterr()
 
 
 def test_solve_chain_value_and_threshold(capsys, two_flip_model):
@@ -388,6 +390,31 @@ def test_cu_gadget_payload(capsys, choice_model):
     assert (payload["cost_cap"], payload["goal"]) == (4, 4)
     rows = payload["model"]["transitions"]
     assert all(row["cost"] == row["utility"] for row in rows)
+    lifted = co.model_from_json(payload["model"])
+    assert co.decide_cost_utility(lifted, 4, 4) == co.decide_qualitative(choice_example(), 4)[0]
+
+
+def test_sample_refuses_a_scheduler_naming_a_disabled_action(capsys, tmp_path, choice_model):
+    rows = [{"state": "q1", "cost": "1", "action": "zzz"}, {"state": "q1", "cost": "3", "action": "a1"}]
+    path = write_json(tmp_path, "sched.json", rows)
+    code, _, err = run(
+        capsys, "sample", "--model", choice_model, "--formula", "x<=5",
+        "--n", "20", "--seed", "1", "--scheduler", path,
+    )
+    assert code == 2
+    assert "zzz" in err
+
+
+def test_circuit_gadgets_refuse_gates_above_level_three(capsys, tmp_path):
+    path = write_json(tmp_path, "tower.json", circuit_to_json(level_four_tower()))
+    for argv in (
+        ("brute", "parikh", "--circuit", path, "--gate", "w"),
+        ("gadget", "circuit", "--circuit", path, "--gate", "w"),
+        ("gadget", "posslp", "--circuit", path, "--g1", "w2", "--g2", "w"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "level" in err
 
 
 def test_sample_output_is_reproducible(capsys, two_flip_model):

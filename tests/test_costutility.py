@@ -16,7 +16,7 @@ def test_costs_are_mirrored_onto_the_utility_track():
     assert lifted.states == process.states
     assert lifted.initial == process.initial
     assert lifted.target == process.target
-    assert co.validate_cost_utility(lifted).ok
+    assert co.validate(lifted).ok
     for state in process.states:
         if state == process.target:
             continue

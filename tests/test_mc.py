@@ -71,6 +71,12 @@ def test_choice_states_need_a_scheduler():
         estimate(choice_example(), None, co.parse("x<=5"), 10, 1)
 
 
+def test_schedulers_naming_a_disabled_action_are_refused():
+    scheduler = co.Scheduler(5, {("q1", 1): "zzz", ("q1", 3): "a1"})
+    with pytest.raises(SchedulerGapError, match="zzz"):
+        estimate(choice_example(), scheduler, co.parse("x<=5"), 20, 1)
+
+
 def test_step_guard_aborts_single_runs():
     with pytest.raises(GuardExceededError, match="steps"):
         sample_run(geometric_chain(), None, 1, 0, max_steps=0)

@@ -1,5 +1,6 @@
 """Optimal scheduling over processes: values, witnesses, dual routes."""
 
+import time
 from fractions import Fraction
 from random import Random
 
@@ -135,6 +136,15 @@ def test_scheduler_action_at():
         scheduler.action_at(process, "q1", 2)
 
 
+def test_scheduler_naming_a_disabled_action_is_a_gap():
+    process = choice_example()
+    scheduler = Scheduler(5, {("q1", 1): "zzz", ("q1", 3): "a1"})
+    with pytest.raises(SchedulerGapError, match="zzz"):
+        scheduler.action_at(process, "q1", 1)
+    with pytest.raises(SchedulerGapError, match="zzz"):
+        co.induce_chain(process, scheduler)
+
+
 def test_scheduler_json_round_trip():
     result = co.solve_max(choice_example(), co.parse("x<=5"))
     doc = co.scheduler_to_json(result.scheduler)
@@ -233,9 +243,61 @@ def test_saturated_choices_use_the_top_entry():
 
 
 def test_cost_utility_decision():
-    process = co.build_cost_utility_process(
-        [("q0", "a", "t", 2, 3, ONE)], "q0", "t"
-    )
+    process = co.build_process([("q0", "a", "t", 2, ONE, 3)], "q0", "t")
     assert co.decide_cost_utility(process, 2, 3)
     assert not co.decide_cost_utility(process, 1, 3)
     assert not co.decide_cost_utility(process, 2, 4)
+
+
+def test_cost_utility_zero_cost_utility_loop():
+    # Each free lap of q0 earns one utility; leaving through q1 costs 2
+    # and earns 3, so the utility is 3 plus a geometric lap count.
+    rows = [
+        ("q0", "loop", "q0", 0, HALF, 1),
+        ("q0", "loop", "q1", 0, HALF, 0),
+        ("q0", "jump", "t", 5, ONE, 9),
+        ("q1", "go", "t", 2, ONE, 3),
+    ]
+    process = co.build_process(rows, "q0", "t")
+    assert co.decide_cost_utility(process, 2, 3)
+    assert not co.decide_cost_utility(process, 4, 4)
+    assert co.decide_cost_utility(process, 5, 4)
+    assert co.decide_cost_utility(process, 5, 9)
+    assert not co.decide_cost_utility(process, 5, 10)
+    assert not co.decide_cost_utility(process, 1, 0)
+
+
+def test_cost_utility_binding_cap():
+    # "rich" always earns 6 but costs 4 half of the time.
+    rows = [
+        ("q0", "cheap", "t", 1, ONE, 1),
+        ("q0", "rich", "t", 4, HALF, 6),
+        ("q0", "rich", "t", 2, HALF, 6),
+    ]
+    process = co.build_process(rows, "q0", "t")
+    assert co.decide_cost_utility(process, 1, 1)
+    assert co.decide_cost_utility(process, 4, 6)
+    assert not co.decide_cost_utility(process, 3, 6)
+    assert not co.decide_cost_utility(process, 3, 2)
+    assert co.decide_cost_utility(process, 3, 1)
+
+
+def test_cost_utility_cap_zero_prunes_a_huge_goal():
+    # Every lap of the utility cycle costs 1, so cap 0 leaves one pair.
+    rows = [("q0", "a", "q0", 1, HALF, 1), ("q0", "a", "t", 0, HALF, 0)]
+    process = co.build_process(rows, "q0", "t")
+    start = time.perf_counter()
+    assert not co.decide_cost_utility(process, 0, 10**9)
+    assert time.perf_counter() - start < 1
+    assert not co.decide_cost_utility(process, 0, 0)
+
+
+def test_cost_utility_argument_checks():
+    process = co.build_process([("q0", "a", "t", 2, ONE, 3)], "q0", "t")
+    for cap, goal in ((-1, 0), (0, True), (1.0, 1)):
+        with pytest.raises(ValueError):
+            co.decide_cost_utility(process, cap, goal)
+    with pytest.raises(NotValidatedError):
+        co.decide_cost_utility(co.build_process([("q0", "a", "t", 1, HALF)], "q0", "t"), 1, 1)
+    assert co.decide_cost_utility(co.build_chain([], "t", "t"), 0, 0)
+    assert not co.decide_cost_utility(co.build_chain([], "t", "t"), 0, 1)

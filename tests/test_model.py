@@ -185,22 +185,84 @@ def test_probability_strings_are_fractions_only():
 
 
 def test_cost_utility_round_trip_and_validation():
-    process = co.build_cost_utility_process(
-        [("q0", "a", "t", 2, 3, ONE)], "q0", "t"
-    )
-    assert co.validate_cost_utility(process).ok
-    doc = co.cost_utility_to_json(process)
-    back = co.cost_utility_from_json(doc)
-    assert co.cost_utility_to_json(back) == doc
+    process = co.build_process([("q0", "a", "t", 2, ONE, 3)], "q0", "t")
+    assert co.validate(process).ok
+    doc = co.model_to_json(process)
+    assert doc["transitions"][0] == {
+        "from": "q0", "action": "a", "to": "t", "cost": "2", "utility": "3", "prob": "1"
+    }
+    back = co.model_from_json(doc)
+    assert co.model_to_json(back) == doc
     assert back.transitions[("q0", "a")][0].utility == 3
 
 
 def test_cost_utility_bad_target_loop():
-    process = co.build_cost_utility_process(
-        [("q0", "a", "t", 2, 3, ONE), ("t", "a", "t", 0, 1, ONE)], "q0", "t"
+    process = co.build_process(
+        [("q0", "a", "t", 2, ONE, 3), ("t", "a", "t", 0, ONE, 1)], "q0", "t"
     )
-    codes = {f.code for f in co.validate_cost_utility(process).violations}
+    codes = {f.code for f in co.validate(process).violations}
     assert "bad-target-loop" in codes
+
+
+def test_utility_rows_are_optional_in_json():
+    doc = {
+        "states": ["q0", "q1", "t"],
+        "initial": "q0",
+        "target": "t",
+        "transitions": [
+            {"from": "q0", "action": "a", "to": "q1", "cost": "1", "utility": "2", "prob": "1/2"},
+            {"from": "q0", "action": "a", "to": "t", "cost": "0", "prob": "1/2"},
+            {"from": "q1", "action": "a", "to": "t", "cost": "0", "utility": 4, "prob": "1"},
+            {"from": "t", "action": "a", "to": "t", "cost": "0", "prob": "1"},
+        ],
+    }
+    process = co.model_from_json(doc)
+    assert co.validate(process).ok
+    assert process.transitions[("q0", "a")] == (
+        co.Transition("q1", 1, HALF, 2),
+        co.Transition("t", 0, HALF),
+    )
+    assert process.transitions[("q1", "a")][0].utility == 4
+    written = co.model_to_json(process)
+    assert all(row["action"] == "a" for row in written["transitions"])
+    assert [row["utility"] for row in written["transitions"]] == ["2", "0", "4", "0"]
+    assert co.model_to_json(co.model_from_json(written)) == written
+    bad = {**doc, "transitions": [{**doc["transitions"][0], "utility": "-1"}]}
+    with pytest.raises(ModelFormatError, match="utility"):
+        co.model_from_json(bad)
+
+
+def test_zero_utilities_leave_the_json_unchanged():
+    for process in (two_flip_chain(), choice_example()):
+        doc = co.model_to_json(process)
+        assert not any("utility" in row for row in doc["transitions"])
+        lifted = co.build_process(
+            [
+                (state, action, e.successor, e.cost, e.prob, 0)
+                for (state, action), entries in process.transitions.items()
+                for e in entries
+            ],
+            process.initial,
+            process.target,
+            process.states,
+        )
+        assert co.model_to_json(lifted) == doc
+
+
+def test_rows_merge_on_successor_cost_and_utility():
+    process = co.build_process(
+        [
+            ("q0", "a", "t", 1, Fraction(1, 4), 2),
+            ("q0", "a", "t", 1, Fraction(1, 4), 2),
+            ("q0", "a", "t", 1, HALF, 5),
+        ],
+        "q0",
+        "t",
+    )
+    assert process.transitions[("q0", "a")] == (
+        co.Transition("t", 1, HALF, 2),
+        co.Transition("t", 1, HALF, 5),
+    )
 
 
 def test_validation_report_formatting():

@@ -13,7 +13,7 @@ from costodds.gadgets import (
     make_circuit,
 )
 from costodds.gadgets import parikh
-from helpers import fixed_circuit_corpus, random_circuit
+from helpers import fixed_circuit_corpus, level_four_tower, random_circuit
 
 ONE_LEAF = make_circuit([("l", "one", ())])
 ZERO_LEAF = make_circuit([("z", "zero", ())])
@@ -147,3 +147,13 @@ def test_path_guard_aborts_runaway_walks(monkeypatch):
     assert count_parikh_paths(loop, "s", "s", {"a": 9}) == 1
     with pytest.raises(GuardExceededError, match="partial paths"):
         count_parikh_paths(loop, "s", "s", {"a": 500})
+
+
+def test_gates_above_level_three_are_refused():
+    # Doubled letter budgets let the two passes of w = z*z split the loop
+    # of y = x*x as 1 + 3 instead of 2 + 2; the count came out 192, not 64.
+    tower = level_four_tower()
+    dfa, budget, source, sink = circuit_to_dfa(tower, "z")
+    assert count_parikh_paths(dfa, source, sink, budget) == eval_circuit(tower, "z") == 8
+    with pytest.raises(PreconditionError, match="level 4"):
+        circuit_to_dfa(tower, "w")
