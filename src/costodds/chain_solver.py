@@ -8,12 +8,13 @@ budget formula because verdicts are constant beyond the largest constant.
 
 The engine walks cost levels in increasing order. Costs never decrease
 along a run, so mass can only flow from a level to strictly higher ones,
-except through zero-cost transitions, which stay inside the level and
-are eliminated per level by the shared kernel ``linalg.resolve_level``:
-a pass in dependency order when the zero-cost subgraph is acyclic there,
-otherwise one exact linear solve for the expected visit counts. Levels
-are kept sparse (a heap of occupied levels), so huge budgets with few
-reachable cost values stay cheap.
+except through zero-cost transitions, which stay inside the level. Each
+level's zero-cost subgraph is split by ``linalg.strongly_connected`` and
+resolved component by component with ``linalg.resolve_component``: one
+state at a time where it is acyclic, by an exact linear solve for the
+expected visit counts where it is cyclic. A level without zero-cost
+edges keeps its inflow as is. Levels are kept sparse (a heap of occupied
+levels), so huge budgets with few reachable cost values stay cheap.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import NotAChainError, NotValidatedError
+from .errors import NotAChainError
 from .formula import Formula, max_constant, normalize
-from .linalg import resolve_level
-from .model import CostChain, Transition, is_chain, validate
+from .linalg import resolve_component, strongly_connected
+from .model import CostChain, Transition, is_chain, require_valid
 
 __all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain"]
 
@@ -67,9 +68,7 @@ def cost_distribution(chain: CostChain, budget: int) -> TruncatedDistribution:
         raise ValueError(f"budget must be a non-negative int, got {budget!r}")
     if not is_chain(chain):
         raise NotAChainError("process has states with more than one enabled action")
-    report = validate(chain)
-    if not report.ok:
-        raise NotValidatedError(report)
+    require_valid(chain)
 
     target = chain.target
     dist: dict[str, tuple[Transition, ...]] = {
@@ -148,8 +147,10 @@ def _zero_level_visits(
     The subgraph spans the non-target states reachable from the inflow
     support via zero-cost transitions. The counts solve v = inflow + Z^T v,
     which is nonsingular because no zero-cost end component can exist in
-    a validated process; each state is a one-action level member whose
-    zero-edges are its zero-cost predecessors.
+    a validated process. Each state is a one-action component member
+    whose edges are its zero-cost predecessors, so components resolve
+    predecessors first; a level counts one linear solve if any of its
+    components is cyclic.
     """
     relevant: list[str] = list(inflow)
     seen = set(inflow)
@@ -161,9 +162,16 @@ def _zero_level_visits(
                     seen.add(succ)
                     relevant.append(succ)
                 predecessors.setdefault(succ, []).append((q, prob))
+    if not predecessors:
+        return inflow
 
     zero = Fraction(0)
     options = {q: ((inflow.get(q, zero), predecessors.get(q, ())),) for q in relevant}
-    visits, _, solved = resolve_level(relevant, options, "max")
-    stats["linear_solves"] += solved
+    visits: dict[str, Fraction] = {}
+    components = strongly_connected(relevant, lambda q: [p for p, _ in predecessors.get(q, ())])
+    solved = [
+        resolve_component(members, cyclic, options, visits, "max")[1]
+        for members, cyclic in components
+    ]
+    stats["linear_solves"] += any(solved)
     return visits

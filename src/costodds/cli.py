@@ -3,9 +3,9 @@
 One verb per capability: validate, solve, dist, quantile, scheduler,
 gadget (model generators), brute (oracles), sample. Exit codes: 0 for
 an answered query (or a "yes" decision), 1 for a "no" decision, 2 for
-usage or validation problems. All numbers print as exact rationals;
-``--json`` switches to machine-readable reports carrying the same
-values.
+usage or validation problems and for any unexpected error. All numbers
+print as exact rationals; ``--json`` switches to machine-readable
+reports carrying the same values.
 """
 
 from __future__ import annotations
@@ -68,6 +68,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit statuses 0 and 1 are answers, so nothing unexpected may end in them.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

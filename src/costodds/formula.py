@@ -300,15 +300,20 @@ def parse(text: str) -> CostFormula:
 
 def satisfies(value: int, formula: CostFormula) -> bool:
     """Evaluate the formula with ``x := value``."""
-    if isinstance(formula, Atom):
-        return value <= formula.bound
-    if isinstance(formula, Not):
-        return not satisfies(value, formula.inner)
-    if isinstance(formula, And):
-        return satisfies(value, formula.left) and satisfies(value, formula.right)
-    if isinstance(formula, Or):
-        return satisfies(value, formula.left) or satisfies(value, formula.right)
-    raise TypeError(f"not a cost formula: {formula!r}")
+    nodes = list(_walk(formula))
+    truth: dict[int, bool] = {}
+    # Reversed pre-order visits every child before its parent.
+    for node in reversed(nodes):
+        if isinstance(node, Atom):
+            holds = value <= node.bound
+        elif isinstance(node, Not):
+            holds = not truth[id(node.inner)]
+        elif isinstance(node, And):
+            holds = truth[id(node.left)] and truth[id(node.right)]
+        else:
+            holds = truth[id(node.left)] or truth[id(node.right)]
+        truth[id(node)] = holds
+    return truth[id(formula)]
 
 
 def _walk(formula: CostFormula) -> Iterator[CostFormula]:
@@ -379,21 +384,29 @@ def is_constant_formula(formula: CostFormula) -> bool:
 
 def to_text(formula: CostFormula) -> str:
     """Render the AST back to parseable text (atoms only as ``x<=B``)."""
-    if isinstance(formula, Atom):
-        return f"x<={formula.bound}"
-    if isinstance(formula, Not):
-        inner = to_text(formula.inner)
-        if isinstance(formula.inner, (And, Or)):
-            inner = f"({inner})"
-        return f"!{inner}"
-    if isinstance(formula, And):
-        parts = []
-        for side in (formula.left, formula.right):
-            text = to_text(side)
-            if isinstance(side, Or):
-                text = f"({text})"
-            parts.append(text)
-        return " & ".join(parts)
-    if isinstance(formula, Or):
-        return f"{to_text(formula.left)} | {to_text(formula.right)}"
-    raise TypeError(f"not a cost formula: {formula!r}")
+    parts: list[str] = []
+    # Items are nodes still to render or literal text, last one first.
+    stack: list["CostFormula | str"] = [formula]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Atom):
+            parts.append(f"x<={item.bound}")
+        elif isinstance(item, Not):
+            parts.append("!")
+            stack.extend(_grouped(item.inner, (And, Or)))
+        elif isinstance(item, And):
+            stack.extend(_grouped(item.right, Or))
+            stack.append(" & ")
+            stack.extend(_grouped(item.left, Or))
+        elif isinstance(item, Or):
+            stack.extend((item.right, " | ", item.left))
+        else:
+            raise TypeError(f"not a cost formula: {item!r}")
+    return "".join(parts)
+
+
+def _grouped(node: CostFormula, kinds: type | tuple[type, ...]) -> tuple:
+    """Stack items rendering ``node``, in parentheses when it is one of ``kinds``."""
+    return (")", node, "(") if isinstance(node, kinds) else (node,)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import NotValidatedError
-from ..model import CostProcess, build_process, validate
+from ..model import CostProcess, build_process, require_valid
 
 __all__ = ["qualitative_to_cost_utility"]
 
@@ -18,9 +17,7 @@ def qualitative_to_cost_utility(process: CostProcess, total: int) -> CostProcess
     """
     if not isinstance(total, int) or isinstance(total, bool) or total < 0:
         raise ValueError(f"total must be a non-negative int, got {total!r}")
-    report = validate(process)
-    if not report.ok:
-        raise NotValidatedError(report)
+    require_valid(process)
     entries = [
         (state, action, entry.successor, entry.cost, entry.prob, entry.cost)
         for state in process.states

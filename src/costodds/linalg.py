@@ -1,23 +1,159 @@
-"""Exact linear algebra over rationals: the zero-cost level kernel.
+"""Strongly connected components and the exact component kernel.
 
-Both solvers work one cost level at a time, and inside a level only
-zero-cost edges matter. ``resolve_level`` resolves such a level: by one
-pass in dependency order when its zero-cost edges are acyclic, otherwise
-by policy iteration whose evaluations are square systems with Fraction
-entries. Floating point is never acceptable there, so
-``solve_linear_system`` does plain Gaussian elimination with partial
-(first-nonzero) pivoting on exact rationals. Systems stay small: one row
-per state of the level.
+``strongly_connected`` is the package's one SCC routine: validation,
+the acyclicity test and both solvers call it. It emits each component
+after every component it reaches, so when a solver gets a component,
+every value the component reads from outside is already fixed. Inside
+a component the solvers' edges cost nothing, and ``resolve_component``
+optimizes it: a lone member without a zero-cost self-loop takes its
+best action directly, a cyclic component runs policy iteration whose
+evaluations are square systems with Fraction entries. Floating point is
+never acceptable there, so ``solve_linear_system`` does plain Gaussian
+elimination with partial (first-nonzero) pivoting on exact rationals.
+Systems stay small: one row per member of the component.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Iterable, Iterator, Mapping, MutableMapping
 
 from .errors import SingularMatrixError
 
-__all__ = ["resolve_level", "solve_linear_system"]
+__all__ = ["resolve_component", "solve_linear_system", "strongly_connected"]
+
+
+def strongly_connected(
+    roots: Iterable, successors: Callable[[object], Iterable]
+) -> Iterator[tuple[list, bool]]:
+    """Tarjan's algorithm without recursion.
+
+    Args:
+        roots: start vertices (hashable); every vertex reachable from
+            them is visited, in the order given and then depth first.
+        successors: the out-neighbours of a vertex, called once per
+            visited vertex.
+
+    Yields:
+        (members, cyclic) for each strongly connected component, after
+        every component it reaches; ``cyclic`` is true when an edge stays
+        inside the component (two or more members, or a self-loop).
+    """
+    index: dict = {}
+    low: dict = {}  # lowlinks of the vertices still on the stack
+    stack: list = []
+    looped: set = set()
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        work = [(root, len(stack), iter(successors(root)))]
+        stack.append(root)
+        while work:
+            vertex, height, edges = work[-1]
+            for succ in edges:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    work.append((succ, len(stack), iter(successors(succ))))
+                    stack.append(succ)
+                    break
+                if succ in low:
+                    if low[succ] < low[vertex]:
+                        low[vertex] = low[succ]
+                    elif succ == vertex:
+                        looped.add(vertex)
+            else:
+                work.pop()
+                if low[vertex] == index[vertex]:
+                    component = stack[height:]
+                    del stack[height:]
+                    for member in component:
+                        del low[member]
+                    yield component, len(component) > 1 or vertex in looped
+                elif low[vertex] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[vertex]
+
+
+def resolve_component(
+    members: list,
+    cyclic: bool,
+    options: Mapping,
+    values: MutableMapping,
+    mode: str,
+) -> tuple[list[int], bool]:
+    """Optimize one strongly connected component whose internal edges cost zero.
+
+    Args:
+        members, cyclic: the component, as ``strongly_connected`` emits it.
+        options: per member, one (constant, edges) pair per enabled
+            action in canonical order; edges are (vertex, weight) pairs,
+            and an action's value is its constant plus the weighted
+            values of those vertices.
+        values: the value of every vertex outside the component that an
+            edge names; the members' optimal values are written into it.
+        mode: "max" or "min".
+
+    Returns:
+        (choices, solved): per member, the index of its lowest-index
+        optimal action, and whether an exact linear solve was needed.
+
+    An acyclic component is one member, which takes its best action. A
+    cyclic one runs policy iteration from the all-first-action policy;
+    evaluation is an exact linear solve, nonsingular because a zero-cost
+    recurrent class under some policy would be a forbidden end component.
+    """
+    if not cyclic:
+        q = members[0]
+        values[q], choice = _best(options[q], values, mode)
+        return [choice], False
+
+    choosing = [q for q in members if len(options[q]) > 1]
+    policy = dict.fromkeys(members, 0)
+    improved = True
+    while improved:
+        _evaluate_policy(members, options, policy, values)
+        improved = False
+        for q in choosing:
+            best, index = _best(options[q], values, mode)
+            # The policy's action attains values[q], so any other best is
+            # a strict improvement.
+            if best != values[q]:
+                policy[q], improved = index, True
+    return [_best(options[q], values, mode)[1] for q in members], True
+
+
+def _best(per_action: list, values: Mapping, mode: str) -> tuple[Fraction, int]:
+    """The optimal action value and the lowest index attaining it."""
+    best = None
+    best_index = 0
+    for index, (const, edges) in enumerate(per_action):
+        acc = const
+        for succ, weight in edges:
+            acc += weight * values[succ]
+        if best is None or (acc > best if mode == "max" else acc < best):
+            best, best_index = acc, index
+    return best, best_index
+
+
+def _evaluate_policy(
+    members: list, options: Mapping, policy: Mapping, values: MutableMapping
+) -> None:
+    index = {q: i for i, q in enumerate(members)}
+    n = len(members)
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    rhs = [Fraction(0)] * n
+    for row, q in enumerate(members):
+        matrix[row][row] += 1
+        const, edges = options[q][policy[q]]
+        for succ, weight in edges:
+            column = index.get(succ)
+            if column is None:
+                const += weight * values[succ]
+            else:
+                matrix[row][column] -= weight
+        rhs[row] = const
+    for q, value in zip(members, solve_linear_system(matrix, rhs)):
+        values[q] = value
 
 
 def solve_linear_system(
@@ -66,115 +202,3 @@ def solve_linear_system(
                 acc -= row[c] * solution[c]
         solution[r] = acc / row[r]
     return solution
-
-
-def resolve_level(
-    states: list,
-    options: Mapping,
-    mode: str,
-) -> tuple[dict, dict, bool]:
-    """Optimize one cost level whose internal edges all cost zero.
-
-    Args:
-        states: level members (hashable keys).
-        options: per member, one (constant, zero-edges) pair per enabled
-            action in canonical order; zero-edges are (member, weight)
-            pairs, and an action's value is its constant plus the
-            weighted values of those members.
-        mode: "max" or "min".
-
-    Returns:
-        (values, choices, solved): the optimal value per member, the
-        index of the lowest-index optimal action, and whether an exact
-        linear solve was needed.
-
-    Acyclic levels resolve by one pass in dependency order. Cyclic ones
-    run policy iteration from the all-first-action policy; evaluation is
-    an exact linear solve, guaranteed nonsingular because a zero-cost
-    recurrent class under some policy would be a forbidden end component.
-    """
-    order = _dependency_order(states, options)
-    if order is not None:
-        values: dict = {}
-        choices: dict = {}
-        for q in order:
-            best = None
-            best_index = 0
-            for index, (const, zeros) in enumerate(options[q]):
-                acc = const
-                for succ, prob in zeros:
-                    acc += prob * values[succ]
-                if best is None or (acc > best if mode == "max" else acc < best):
-                    best, best_index = acc, index
-            values[q] = best
-            choices[q] = best_index
-        return values, choices, False
-
-    choosing = [q for q in states if len(options[q]) > 1]
-    policy = {q: 0 for q in states}
-    while True:
-        values = _evaluate_policy(states, options, policy)
-        improved = False
-        for q in choosing:
-            best_index = policy[q]
-            best = values[q]
-            for index, (const, zeros) in enumerate(options[q]):
-                acc = const
-                for succ, prob in zeros:
-                    acc += prob * values[succ]
-                if (acc > best) if mode == "max" else (acc < best):
-                    best, best_index = acc, index
-            if best_index != policy[q]:
-                policy[q] = best_index
-                improved = True
-        if not improved:
-            break
-
-    choices = dict.fromkeys(states, 0)
-    for q in choosing:
-        chosen = None
-        for index, (const, zeros) in enumerate(options[q]):
-            acc = const
-            for succ, prob in zeros:
-                acc += prob * values[succ]
-            if acc == values[q]:
-                chosen = index
-                break
-        if chosen is None:
-            raise AssertionError("policy iteration left a non-optimal fixpoint")
-        choices[q] = chosen
-    return values, choices, True
-
-
-def _dependency_order(states: list, options: Mapping) -> "list | None":
-    """Members ordered with zero-edge targets first, or None on a cycle."""
-    indegree: dict = {}
-    dependents: dict = {}
-    for q in states:
-        for _, zeros in options[q]:
-            for dep, _ in zeros:
-                indegree[q] = indegree.get(q, 0) + 1
-                dependents.setdefault(dep, []).append(q)
-    order = [q for q in states if q not in indegree]
-    for q in order:
-        for follower in dependents.get(q, ()):
-            indegree[follower] -= 1
-            if indegree[follower] == 0:
-                order.append(follower)
-    return order if len(order) == len(states) else None
-
-
-def _evaluate_policy(states: list, options: Mapping, policy: Mapping) -> dict:
-    index = {q: i for i, q in enumerate(states)}
-    n = len(states)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for q in states:
-        row = index[q]
-        matrix[row][row] += Fraction(1)
-        const, zeros = options[q][policy[q]]
-        rhs[row] = const
-        for succ, prob in zeros:
-            matrix[row][index[succ]] -= prob
-    solution = solve_linear_system(matrix, rhs)
-    return {q: solution[index[q]] for q in states}

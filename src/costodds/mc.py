@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GuardExceededError, NotValidatedError, SchedulerGapError
+from .errors import GuardExceededError, SchedulerGapError
 from .formula import Formula, normalize
 from .mdp_solver import Scheduler
-from .model import CostProcess, validate
+from .model import CostProcess, require_valid
 
 __all__ = ["SampleReport", "sample_run", "estimate", "STEP_GUARD"]
 
@@ -89,9 +89,7 @@ def sample_run(
     Deterministic in (seed, index). The scheduler may be None when every
     state has a single action.
     """
-    report = validate(process)
-    if not report.ok:
-        raise NotValidatedError(report)
+    require_valid(process)
     table = _compile(process)
     return _run(process, table, scheduler, _BitStream(seed, index), max_steps)
 
@@ -110,9 +108,7 @@ def estimate(
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    report = validate(process)
-    if not report.ok:
-        raise NotValidatedError(report)
+    require_valid(process)
     table = _compile(process)
     accept = normalize(formula)
 

@@ -5,16 +5,17 @@ a map from (state, accumulated cost) to an enabled action. Costs above
 the formula's largest constant are indistinguishable, so the cost
 component saturates into a single ``TOP`` bucket whose value is the
 formula's constant tail verdict. That truncation makes the search space
-finite and the optimum attainable by backward induction over cost levels.
+finite and the optimum attainable by backward induction over the pairs.
 
-Within one cost level only zero-cost transitions matter, and they may
-form cycles; the shared level kernel ``linalg.resolve_level`` resolves
-them by a pass in dependency order or, on a cycle, by exact policy
-iteration (evaluate a policy with one rational linear solve, switch only
-on strict improvement, terminate because policies never repeat). Every
-process, acyclic or not, goes through the same backward induction. Ties
-break toward the lowest canonical action index so schedulers are
-reproducible.
+Below ``TOP`` the (state, cost) pairs form a graph whose only cycles
+cost zero, and every ``TOP`` pair has the tail value, so one pass of ``linalg.strongly_connected`` from the initial pair
+both finds the reachable pairs and hands out their components with every
+successor component already resolved. ``linalg.resolve_component`` then
+fixes each one: a lone pair by its best action, a zero-cost cycle by
+exact policy iteration (evaluate a policy with one rational linear
+solve, switch only on strict improvement, terminate because policies
+never repeat). Ties break toward the lowest canonical action index so
+schedulers are reproducible.
 """
 
 from __future__ import annotations
@@ -22,17 +23,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Final, Iterable, Mapping
+from typing import Final, Mapping
 
 from .errors import (
     ModelFormatError,
-    NotValidatedError,
     SchedulerGapError,
     ThresholdRangeError,
 )
 from .formula import Formula, max_constant, normalize, parse
-from .linalg import resolve_level
-from .model import CostChain, CostProcess, build_chain, build_process, validate
+from .linalg import resolve_component, strongly_connected
+from .model import CostChain, CostProcess, build_chain, build_process, require_valid
 
 __all__ = [
     "TOP",
@@ -155,9 +155,7 @@ def induce_chain(process: CostProcess, scheduler: Scheduler) -> CostChain:
     accumulated cost distribution equals the process's under this
     scheduler.
     """
-    report = validate(process)
-    if not report.ok:
-        raise NotValidatedError(report)
+    require_valid(process)
     target = process.target
     if process.initial == target:
         return build_chain([], target, target)
@@ -207,9 +205,7 @@ def decide_cost_utility(process: CostProcess, cost_cap: int, goal: int) -> bool:
     for label, bound in (("cost_cap", cost_cap), ("goal", goal)):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise ValueError(f"{label} must be a non-negative int, got {bound!r}")
-    report = validate(process)
-    if not report.ok:
-        raise NotValidatedError(report)
+    require_valid(process)
     target = process.target
     if process.initial == target:
         return goal == 0
@@ -305,87 +301,61 @@ def scheduler_from_json(data: object) -> Scheduler:
 
 
 def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
-    report = validate(process)
-    if not report.ok:
-        raise NotValidatedError(report)
+    require_valid(process)
     accept = normalize(formula)
     budget = max_constant(formula)
     if process.initial == process.target:
         return SolveResult(Fraction(0 in accept), Scheduler(budget, {}), mode)
-    tail = Fraction(budget + 1 in accept)
     target = process.target
-
-    # Forward sweep: which (state, cost) pairs can the walk visit at all?
-    levels: dict[int, set[str]] = {}
-    sat_seeds: set[str] = set()
-    seen = {(process.initial, 0)}
-    frontier = [(process.initial, 0)]
-    while frontier:
-        state, cost = frontier.pop()
-        levels.setdefault(cost, set()).add(state)
-        for action in process.enabled[state]:
-            for succ, step, _, _ in process.transitions[(state, action)]:
-                if succ == target:
-                    continue
-                total = cost + step
-                if total > budget:
-                    sat_seeds.add(succ)
-                elif (succ, total) not in seen:
-                    seen.add((succ, total))
-                    frontier.append((succ, total))
-
+    enabled = process.enabled
+    transitions = process.transitions
     zero = Fraction(0)
-    value: dict[tuple[str, int], Fraction] = {}
+    # Per (state, cost) pair and enabled action: the mass that reaches the
+    # target within the formula, and the edges to other pairs.
+    options: dict[tuple[str, int], list[tuple[Fraction, list]]] = {}
+
+    def successors(pair: tuple[str, "int | str"]) -> list:
+        state, cost = pair
+        if cost == TOP:
+            return [
+                (succ, TOP)
+                for action in enabled[state]
+                for succ, _, _, _ in transitions[(state, action)]
+                if succ != target
+            ]
+        per_action = []
+        out = []
+        for action in enabled[state]:
+            const = zero
+            edges = []
+            for succ, step, prob, _ in transitions[(state, action)]:
+                total = cost + step
+                if succ == target:
+                    if total in accept:
+                        const += prob
+                else:
+                    nxt = (succ, total if total <= budget else TOP)
+                    edges.append((nxt, prob))
+                    out.append(nxt)
+            per_action.append((const, edges))
+        options[pair] = per_action
+        return out
+
+    tail = Fraction(budget + 1 in accept)
+    value: dict = {}
     entries: dict[SchedulerKey, str] = {}
-    for cost in sorted(levels, reverse=True):
-        members = sorted(levels[cost])
-        options: dict[str, list[tuple[Fraction, list[tuple[str, Fraction]]]]] = {}
-        for state in members:
-            per_action = []
-            for action in process.enabled[state]:
-                const = zero
-                zeros: list[tuple[str, Fraction]] = []
-                for succ, step, prob, _ in process.transitions[(state, action)]:
-                    if succ == target:
-                        if cost + step in accept:
-                            const += prob
-                    elif step == 0:
-                        zeros.append((succ, prob))
-                    else:
-                        total = cost + step
-                        const += prob * (tail if total > budget else value[(succ, total)])
-                per_action.append((const, zeros))
-            options[state] = per_action
-        vals, choice, _ = resolve_level(members, options, mode)
-        for state in members:
-            value[(state, cost)] = vals[state]
-            if len(process.enabled[state]) > 1:
-                entries[(state, cost)] = process.enabled[state][choice[state]]
-
-    _add_saturated_entries(process, sat_seeds, entries)
-    return SolveResult(
-        value[(process.initial, 0)], Scheduler(budget, entries), mode
-    )
-
-
-def _add_saturated_entries(
-    process: CostProcess, seeds: Iterable[str], entries: dict[SchedulerKey, str]
-) -> None:
-    """Record TOP choices for multi-action states reachable once saturated.
-
-    Beyond the budget every continuation has the same (tail) value, so
-    the lowest-index action is the canonical choice.
-    """
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        state = frontier.pop()
-        if state == process.target:
+    for component, cyclic in strongly_connected([(process.initial, 0)], successors):
+        if component[0][1] == TOP:
+            # Beyond the budget every continuation has the tail value, so
+            # the lowest-index action is the canonical choice.
+            for pair in component:
+                value[pair] = tail
+                if len(enabled[pair[0]]) > 1:
+                    entries[pair] = enabled[pair[0]][0]
             continue
-        if len(process.enabled[state]) > 1:
-            entries[(state, TOP)] = process.enabled[state][0]
-        for action in process.enabled[state]:
-            for succ, _, _, _ in process.transitions[(state, action)]:
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
+        choices, _ = resolve_component(component, cyclic, options, value, mode)
+        for pair, choice in zip(component, choices):
+            del options[pair]
+            if len(enabled[pair[0]]) > 1:
+                entries[pair] = enabled[pair[0]][choice]
+    return SolveResult(value[(process.initial, 0)], Scheduler(budget, entries), mode)

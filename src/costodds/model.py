@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, NotValidatedError
+from .linalg import strongly_connected
 from .rational import format_rational, parse_cost, parse_rational
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "CostChain",
     "Finding",
     "ValidationReport",
-    "ControlGraph",
     "build_process",
     "build_chain",
     "validate",
@@ -87,14 +87,6 @@ class ValidationReport:
         return "; ".join(f"{f.code}{list(f.subject)}: {f.message}" for f in self.violations)
 
 
-@dataclass(frozen=True)
-class ControlGraph:
-    """Successor structure with the target's outgoing edges removed."""
-
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-
-
 @dataclass(frozen=True, eq=False)
 class CostProcess:
     """An immutable cost process.
@@ -113,26 +105,6 @@ class CostProcess:
     target: str
     enabled: Mapping[str, tuple[str, ...]]
     transitions: Mapping[tuple[str, str], tuple[Transition, ...]]
-
-    @cached_property
-    def actions(self) -> tuple[str, ...]:
-        """Global action alphabet in first-appearance order."""
-        seen: dict[str, None] = {}
-        for state in self.states:
-            for action in self.enabled[state]:
-                seen.setdefault(action)
-        return tuple(seen)
-
-    @cached_property
-    def control_graph(self) -> ControlGraph:
-        edges = set()
-        for state in self.states:
-            if state == self.target:
-                continue
-            for action in self.enabled[state]:
-                for entry in self.transitions[(state, action)]:
-                    edges.add((state, entry.successor))
-        return ControlGraph(self.states, frozenset(edges))
 
     @cached_property
     def reachable(self) -> frozenset[str]:
@@ -154,15 +126,12 @@ class CostProcess:
 
     @cached_property
     def _acyclic(self) -> bool:
-        # Acyclic iff no self-loop and every strongly connected component
-        # is a single state.
-        successors: dict[str, list[str]] = {}
-        for src, dst in self.control_graph.edges:
-            if src == dst:
-                return False
-            successors.setdefault(src, []).append(dst)
-        components = _strongly_connected(list(self.states), successors)
-        return all(len(component) == 1 for component in components)
+        # No cycle through any state; the target's own loop does not count.
+        def successors(state: str) -> set[str]:
+            acts = () if state == self.target else self.enabled[state]
+            return {e.successor for a in acts for e in self.transitions[(state, a)]}
+
+        return not any(cyclic for _, cyclic in strongly_connected(self.states, successors))
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -356,6 +325,13 @@ def validate(process: CostProcess) -> ValidationReport:
     return process._report
 
 
+def require_valid(process: CostProcess) -> None:
+    """Raise ``NotValidatedError`` unless ``validate`` finds the process clean."""
+    report = validate(process)
+    if not report.ok:
+        raise NotValidatedError(report)
+
+
 def _backward_reachable(
     states: tuple[str, ...],
     enabled: Mapping[str, tuple[str, ...]],
@@ -416,8 +392,8 @@ def _maximal_end_components(
             )
             for q in current
         }
-        sccs = _strongly_connected(sorted(current), edges)
-        if len(sccs) == 1 and sccs[0] == current:
+        sccs = [scc for scc, _ in strongly_connected(sorted(current), edges.__getitem__)]
+        if len(sccs) == 1 and len(sccs[0]) == len(current):
             mecs.append(frozenset(current))
         else:
             for scc in sccs:
@@ -431,57 +407,6 @@ def _maximal_end_components(
                 else:
                     work.append(frozenset(scc))
     return mecs
-
-
-def _strongly_connected(
-    vertices: list[str], edges: Mapping[str, list[str]]
-) -> list[set[str]]:
-    """Tarjan's algorithm, non-recursive."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    result: list[set[str]] = []
-    counter = 0
-
-    for root in vertices:
-        if root in index:
-            continue
-        call_stack: list[tuple[str, int]] = [(root, 0)]
-        while call_stack:
-            vertex, edge_pos = call_stack.pop()
-            if edge_pos == 0:
-                index[vertex] = lowlink[vertex] = counter
-                counter += 1
-                stack.append(vertex)
-                on_stack.add(vertex)
-            advanced = False
-            successors = edges.get(vertex, [])
-            while edge_pos < len(successors):
-                succ = successors[edge_pos]
-                edge_pos += 1
-                if succ not in index:
-                    call_stack.append((vertex, edge_pos))
-                    call_stack.append((succ, 0))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[vertex] = min(lowlink[vertex], index[succ])
-            if advanced:
-                continue
-            if lowlink[vertex] == index[vertex]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == vertex:
-                        break
-                result.append(component)
-            if call_stack:
-                parent = call_stack[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[vertex])
-    return result
 
 
 # ---------------------------------------------------------------------------

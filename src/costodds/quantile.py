@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotValidatedError, ThresholdRangeError
+from .errors import ThresholdRangeError
 from .formula import parse
 from .mdp_solver import solve_max, solve_min
-from .model import CostProcess, validate
+from .model import CostProcess, require_valid
 
 __all__ = ["QuantileBounds", "budget_upper_bound", "quantile_query", "ln_upper"]
 
@@ -128,9 +128,7 @@ def budget_upper_bound(process: CostProcess, threshold: Fraction) -> QuantileBou
         raise ThresholdRangeError(
             f"threshold must be in [0, 1) for the budget bound, got {threshold}"
         )
-    report = validate(process)
-    if not report.ok:
-        raise NotValidatedError(report)
+    require_valid(process)
     p_min, k_max = _description_extremes(process)
     bits = 64
     log_bound = ln_upper(1 / (1 - threshold), bits)
@@ -159,9 +157,7 @@ def quantile_query(
         raise ThresholdRangeError(f"threshold must be in [0, 1], got {threshold}")
     if quantifier not in ("exists", "forall"):
         raise ValueError(f"quantifier must be 'exists' or 'forall', got {quantifier!r}")
-    report = validate(process)
-    if not report.ok:
-        raise NotValidatedError(report)
+    require_valid(process)
 
     if threshold == 1:
         return _worst_case_cost(process, "min" if quantifier == "exists" else "max")

@@ -66,6 +66,47 @@ def zero_loop_chain() -> co.CostChain:
     )
 
 
+# Level 0 of this process is an acyclic prefix (s0, s1) feeding two
+# disjoint zero-cost cycles (a0-a1, b0-b1) and a zero-cost self-loop (c),
+# with choices inside the cycles and at c; c's second action climbs to
+# cycle a at cost 1. Rows are (state, action, successor, cost, prob).
+TWO_CYCLE_ROWS = [
+    ("s0", "a", "s1", 0, HALF),
+    ("s0", "a", "c", 0, HALF),
+    ("s1", "a", "a0", 0, HALF),
+    ("s1", "a", "b0", 0, HALF),
+    ("a0", "stay", "a1", 0, HALF),
+    ("a0", "stay", "t", 1, HALF),
+    ("a0", "go", "a1", 0, Fraction(1, 3)),
+    ("a0", "go", "t", 3, Fraction(2, 3)),
+    ("a1", "a", "a0", 0, HALF),
+    ("a1", "a", "t", 2, HALF),
+    ("b0", "a", "b1", 0, Fraction(2, 3)),
+    ("b0", "a", "t", 0, Fraction(1, 3)),
+    ("b1", "x", "b0", 0, HALF),
+    ("b1", "x", "t", 4, HALF),
+    ("b1", "y", "b0", 0, Fraction(1, 4)),
+    ("b1", "y", "t", 1, Fraction(3, 4)),
+    ("c", "loop", "c", 0, HALF),
+    ("c", "loop", "t", 2, HALF),
+    ("c", "climb", "c", 0, Fraction(1, 3)),
+    ("c", "climb", "a0", 1, Fraction(2, 3)),
+]
+
+
+def two_cycle_process() -> co.CostProcess:
+    """Zero-cost cycles of every shape side by side on level 0."""
+    return co.build_process(TWO_CYCLE_ROWS, "s0", "t")
+
+
+def two_cycle_chain() -> co.CostChain:
+    """``two_cycle_process`` with every state's first action only, so
+    level 0 is the only level with zero-cost cycles."""
+    first: dict[str, str] = {}
+    rows = [row for row in TWO_CYCLE_ROWS if first.setdefault(row[0], row[1]) == row[1]]
+    return co.build_chain([(q, succ, cost, p) for q, _, succ, cost, p in rows], "s0", "t")
+
+
 def mc_fixture_corpus() -> list[tuple[co.CostProcess, object, co.CostFormula, Fraction]]:
     """(process, scheduler, formula, exact value) rows for sampling checks."""
     deterministic = co.build_chain([("q0", "t", 4, ONE)], "q0", "t")

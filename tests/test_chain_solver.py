@@ -21,6 +21,7 @@ from helpers import (
     geometric_chain,
     random_chain,
     random_formula,
+    two_cycle_chain,
     two_flip_chain,
     zero_loop_chain,
 )
@@ -53,6 +54,17 @@ def test_zero_cost_cycle_needs_a_linear_solve():
     assert dict(dist.mass) == {0: Fraction(1, 3), 1: Fraction(2, 3)}
     assert dist.overflow == 0
     assert dist.stats["linear_solves"] >= 1
+
+
+def test_cyclic_components_share_one_linear_solve():
+    # Level 0 holds two zero-cost cycles and a zero-cost self-loop.
+    chain = two_cycle_chain()
+    for budget in (0, 2, 6):
+        dist = co.cost_distribution(chain, budget)
+        assert dist.stats["linear_solves"] == 1
+        mass, overflow = chain_distribution_oracle(chain, budget)
+        assert dict(dist.mass) == mass
+        assert dist.overflow == overflow
 
 
 def test_acyclic_levels_avoid_linear_solves():

@@ -464,6 +464,21 @@ def test_usage_errors_exit_with_two(capsys, two_flip_model):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("failure", [RuntimeError("solver broke"), RecursionError()])
+def test_unexpected_errors_exit_with_two(capsys, monkeypatch, choice_model, failure):
+    def broken(process, formula):
+        raise failure
+
+    monkeypatch.setattr("costodds.cli.solve_max", broken)
+    code, out, err = run(
+        capsys, "solve", "--model", choice_model, "--formula", "x<=5", "--quant", "exists"
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {type(failure).__name__}: {failure}"]
+
+
 def test_missing_files_exit_with_two(capsys):
     code, _, err = run(capsys, "solve", "--model", "no-such.json", "--formula", "x<=1")
     assert code == 2

@@ -115,3 +115,22 @@ def test_interval_set_membership_and_subset():
 
 def test_max_constant_picks_largest_atom():
     assert co.max_constant(co.parse("x<=3 | x<=7 & !(x<=5)")) == 7
+
+
+def test_deep_hand_built_trees_need_no_recursion():
+    deep = Atom(3)
+    for _ in range(5000):
+        deep = Not(deep)
+    assert co.satisfies(3, deep) and not co.satisfies(4, deep)
+    assert co.to_text(deep) == "!" * 5000 + "x<=3"
+    assert co.normalize(deep) == IntervalSet(((0, 3),))
+
+    # Alternating connectives: every level of to_text needs parentheses.
+    mixed = Atom(0)
+    for bound in range(1, 3000):
+        mixed = And(Or(mixed, Not(Atom(bound))), Atom(bound + 1))
+    text = co.to_text(mixed)
+    assert text.count("(") == text.count(")") == 2999
+    accept = co.normalize(mixed)
+    for value in (0, 1, 2, 1500, 2999, 3000, 3001):
+        assert co.satisfies(value, mixed) == (value in accept)

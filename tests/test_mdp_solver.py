@@ -1,5 +1,6 @@
 """Optimal scheduling over processes: values, witnesses, dual routes."""
 
+import itertools
 import time
 from fractions import Fraction
 from random import Random
@@ -20,11 +21,13 @@ from helpers import (
     HALF,
     ONE,
     choice_example,
+    choice_points,
     chain_value_oracle,
     optimal_value_oracle,
     random_branching_process,
     random_chain,
     random_formula,
+    two_cycle_process,
     two_flip_chain,
 )
 
@@ -301,3 +304,39 @@ def test_cost_utility_argument_checks():
         co.decide_cost_utility(co.build_process([("q0", "a", "t", 1, HALF)], "q0", "t"), 1, 1)
     assert co.decide_cost_utility(co.build_chain([], "t", "t"), 0, 0)
     assert not co.decide_cost_utility(co.build_chain([], "t", "t"), 0, 1)
+
+
+def every_scheduler_value(process, formula):
+    """The value of every deterministic cost-aware scheduler: one choice per
+    choice point below the saturation, each induced chain scored by the
+    elimination oracle."""
+    budget = co.max_constant(formula)
+    points = choice_points(process, budget + 1)
+    saturated = {
+        (q, TOP): process.enabled[q][0] for q in process.states if len(process.enabled[q]) > 1
+    }
+    values = []
+    for actions in itertools.product(*(process.enabled[q] for q, _ in points)):
+        scheduler = Scheduler(budget, {**saturated, **dict(zip(points, actions))})
+        values.append(chain_value_oracle(co.induce_chain(process, scheduler), formula))
+    return values
+
+
+@pytest.mark.parametrize("text", ["x<=0", "x<=1", "x<=2", "x=2", "x<=3", "x>=2 & x<=4"])
+def test_zero_cost_components_match_every_scheduler(text):
+    process = two_cycle_process()
+    formula = co.parse(text)
+    values = every_scheduler_value(process, formula)
+    best = co.solve_max(process, formula)
+    worst = co.solve_min(process, formula)
+    assert best.value == max(values)
+    assert worst.value == min(values)
+    for result in (best, worst):
+        induced = co.induce_chain(process, result.scheduler)
+        assert chain_value_oracle(induced, formula) == result.value
+
+
+def test_deep_pass_over_pairs():
+    # 20 002 (state, cost) pairs in one chain of components.
+    chain = co.build_chain([("q0", "q0", 1, HALF), ("q0", "t", 0, HALF)], "q0", "t")
+    assert co.solve_max(chain, co.parse("x<=20000")).value == 1 - Fraction(1, 2**20001)
