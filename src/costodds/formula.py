@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import itemgetter
 from typing import Final, Iterator
 
@@ -40,8 +41,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """Equality, hashing and repr of a whole formula tree, without recursion.
+
+    The dataclass-generated methods recurse once per level, so a
+    hand-built tree a few thousand levels deep would exhaust the
+    interpreter stack. Two trees are equal when their pre-order
+    (type, bound) sequences are; each type has a fixed arity, so the
+    sequence determines the tree.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return all(a == b for a, b in zip_longest(_shape(self), _shape(other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_shape(self)))
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        # Items are nodes still to render or literal text, last one first.
+        stack: list[object] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, Atom):
+                parts.append(f"Atom(bound={item.bound!r})")
+            elif isinstance(item, Not):
+                stack.extend((")", item.inner, "Not(inner="))
+            elif isinstance(item, (And, Or)):
+                name = type(item).__name__
+                stack.extend((")", item.right, ", right=", item.left, f"{name}(left="))
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Atom(_Node):
     """The atom ``x <= bound``."""
 
     bound: int
@@ -53,19 +94,19 @@ class Atom:
             raise FormulaSyntaxError(f"atom bound must be non-negative, got {self.bound}")
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Node):
     inner: "CostFormula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Node):
     left: "CostFormula"
     right: "CostFormula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Node):
     left: "CostFormula"
     right: "CostFormula"
 
@@ -329,6 +370,12 @@ def _walk(formula: CostFormula) -> Iterator[CostFormula]:
             stack.append(node.left)
         elif not isinstance(node, Atom):
             raise TypeError(f"not a cost formula: {node!r}")
+
+
+def _shape(formula: CostFormula) -> Iterator[tuple[type, int | None]]:
+    """(type, bound) of every node in pre-order; the bound is None off atoms."""
+    for node in _walk(formula):
+        yield type(node), node.bound if isinstance(node, Atom) else None
 
 
 def max_constant(formula: CostFormula) -> int:

@@ -4,25 +4,43 @@ Randomness comes from a counter-based construction: sample i of seed s
 reads bits from SHA-256(s, i, 0), SHA-256(s, i, 1), ... so samples are
 reproducible bit for bit and independent of evaluation order. Rational
 transition probabilities are resolved by drawing a uniform integer
-below the distribution's common denominator; no floats touch the draw.
+below the distribution's common denominator, by rejection on draws of
+its bit width; no floats touch the draw.
+
+``sample_run`` and ``estimate`` share one kernel, ``_runs``. It walks
+each run with the bit buffer of the current sample in local variables
+and a per-state table compiled once per call, so a step costs a table
+lookup, a scheduler lookup at choice states, and a digest only when
+the buffer runs dry. The streams are part of the interface: the kernel
+may change how it reads bits, never which bits a draw takes
+(``tests/helpers.reference_run`` is the plain reading it must match).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardExceededError, SchedulerGapError
 from .formula import Formula, normalize
-from .mdp_solver import Scheduler
+from .mdp_solver import TOP, Scheduler
 from .model import CostProcess, require_valid
 
 __all__ = ["SampleReport", "sample_run", "estimate", "STEP_GUARD"]
 
 # Per-run step ceiling; validated models leave the loop long before this.
 STEP_GUARD = 10**7
+
+# One distribution: common denominator, its bit width, the mask of that
+# width, and cumulative integer thresholds with the successor and cost
+# each one selects.
+_Dist = tuple[int, int, int, tuple[tuple[int, str, int], ...]]
+# One state: its only action's distribution, or None and a map from each
+# enabled action to its distribution.
+_Row = tuple["_Dist | None", "dict[str, _Dist] | None"]
 
 
 @dataclass(frozen=True)
@@ -42,41 +60,6 @@ class SampleReport:
     guard_trips: int = 0
 
 
-class _BitStream:
-    """Bits of SHA-256(seed, index, counter), counter increasing on demand."""
-
-    __slots__ = ("_prefix", "_counter", "_value", "_left")
-
-    def __init__(self, seed: int, index: int) -> None:
-        self._prefix = seed.to_bytes(8, "little", signed=False) + index.to_bytes(
-            8, "little", signed=False
-        )
-        self._counter = 0
-        self._value = 0
-        self._left = 0
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection on fixed-width draws."""
-        if bound == 1:
-            return 0
-        width = (bound - 1).bit_length()
-        value, left = self._value, self._left
-        while True:
-            while left < width:
-                digest = hashlib.sha256(
-                    self._prefix + self._counter.to_bytes(8, "little")
-                ).digest()
-                self._counter += 1
-                value = (value << 256) | int.from_bytes(digest, "big")
-                left += 256
-            left -= width
-            draw = value >> left
-            value &= (1 << left) - 1
-            if draw < bound:
-                self._value, self._left = value, left
-                return draw
-
-
 def sample_run(
     process: CostProcess,
     scheduler: Scheduler | None,
@@ -91,7 +74,11 @@ def sample_run(
     """
     require_valid(process)
     table = _compile(process)
-    return _run(process, table, scheduler, _BitStream(seed, index), max_steps)
+    tally, trips = _runs(process, table, scheduler, seed, (index,), max_steps)
+    if trips:
+        raise GuardExceededError(f"run exceeded {max_steps} steps")
+    (cost,) = tally
+    return cost
 
 
 def estimate(
@@ -111,16 +98,7 @@ def estimate(
     require_valid(process)
     table = _compile(process)
     accept = normalize(formula)
-
-    tally: dict[int, int] = {}
-    trips = 0
-    for index in range(n):
-        try:
-            cost = _run(process, table, scheduler, _BitStream(seed, index), STEP_GUARD)
-        except GuardExceededError:
-            trips += 1
-            continue
-        tally[cost] = tally.get(cost, 0) + 1
+    tally, trips = _runs(process, table, scheduler, seed, range(n), STEP_GUARD)
     hits = sum(count for cost, count in tally.items() if cost in accept)
     done = n - trips
     ratio = Fraction(hits, done) if done else Fraction(0)
@@ -137,53 +115,90 @@ def estimate(
     )
 
 
-def _compile(
-    process: CostProcess,
-) -> dict[tuple[str, str], tuple[int, list[tuple[int, str, int]]]]:
-    """Per distribution: common denominator and cumulative integer thresholds."""
-    table = {}
-    for key, entries in process.transitions.items():
-        den = 1
-        for entry in entries:
-            den = den * entry.prob.denominator // math.gcd(den, entry.prob.denominator)
-        acc = 0
-        rows = []
-        for entry in entries:
-            acc += entry.prob.numerator * (den // entry.prob.denominator)
-            rows.append((acc, entry.successor, entry.cost))
-        table[key] = (den, rows)
+def _compile(process: CostProcess) -> dict[str, _Row]:
+    """Per state: its only action's distribution, or a map over its actions."""
+    table: dict[str, _Row] = {}
+    for state, actions in process.enabled.items():
+        dists: dict[str, _Dist] = {}
+        for action in actions:
+            entries = process.transitions[(state, action)]
+            den = math.lcm(*(entry.prob.denominator for entry in entries))
+            acc = 0
+            rows = []
+            for entry in entries:
+                acc += entry.prob.numerator * (den // entry.prob.denominator)
+                rows.append((acc, entry.successor, entry.cost))
+            width = (den - 1).bit_length()
+            dists[action] = (den, width, (1 << width) - 1, tuple(rows))
+        table[state] = (dists[actions[0]], None) if len(actions) == 1 else (None, dists)
     return table
 
 
-def _run(
+def _runs(
     process: CostProcess,
-    table: dict[tuple[str, str], tuple[int, list[tuple[int, str, int]]]],
+    table: dict[str, _Row],
     scheduler: Scheduler | None,
-    stream: _BitStream,
+    seed: int,
+    indices: Iterable[int],
     max_steps: int,
-) -> int:
-    state = process.initial
+) -> tuple[dict[int, int], int]:
+    """Final costs of the runs with the given indices, tallied, and the
+    number of runs that tripped the step guard.
+
+    Run i reads the bits of SHA-256(seed ‖ i ‖ counter), counter 0, 1,
+    ... in order. A draw below a denominator takes the next ``width``
+    bits and is redrawn while it is not smaller; a denominator of 1
+    draws nothing. ``value`` holds the buffer: its low ``left`` bits are
+    unread, the bits above them spent.
+    """
+    sha256 = hashlib.sha256
     target = process.target
-    enabled = process.enabled
-    below = stream.below
-    cost = 0
-    steps = 0
-    while state != target:
-        steps += 1
-        if steps > max_steps:
-            raise GuardExceededError(f"run exceeded {max_steps} steps")
-        actions = enabled[state]
-        if len(actions) == 1:
-            action = actions[0]
-        elif scheduler is None:
-            raise SchedulerGapError(f"state {state!r} needs a scheduler")
-        else:
-            action = scheduler.action_at(process, state, cost)
-        den, rows = table[(state, action)]
-        draw = below(den)
-        for threshold, successor, step_cost in rows:
-            if draw < threshold:
-                state = successor
-                cost += step_cost
+    initial = process.initial
+    if scheduler is not None:
+        choose = scheduler.entries.get
+        budget = scheduler.budget
+    from_bytes = int.from_bytes
+    seed_bytes = seed.to_bytes(8, "little")
+    tally: dict[int, int] = {}
+    trips = 0
+    for index in indices:
+        prefix = seed_bytes + index.to_bytes(8, "little")
+        counter = value = left = 0
+        state = initial
+        cost = steps = 0
+        while state != target:
+            steps += 1
+            if steps > max_steps:
+                trips += 1
                 break
-    return cost
+            dist, choices = table[state]
+            if dist is None:
+                if scheduler is None:
+                    raise SchedulerGapError(f"state {state!r} needs a scheduler")
+                dist = choices.get(choose((state, cost if cost <= budget else TOP)))
+                if dist is None:
+                    # Raises the gap error that names the missing or disabled entry.
+                    dist = choices[scheduler.action_at(process, state, cost)]
+            den, width, mask, rows = dist
+            if den == 1:
+                draw = 0
+            else:
+                while True:
+                    while left < width:
+                        block = sha256(prefix + counter.to_bytes(8, "little")).digest()
+                        counter += 1
+                        value &= (1 << left) - 1
+                        value = value << 256 | from_bytes(block, "big")
+                        left += 256
+                    left -= width
+                    draw = (value >> left) & mask
+                    if draw < den:
+                        break
+            for threshold, successor, step_cost in rows:
+                if draw < threshold:
+                    state = successor
+                    cost += step_cost
+                    break
+        else:
+            tally[cost] = tally.get(cost, 0) + 1
+    return tally, trips

@@ -4,12 +4,15 @@ Everything the suite compares solver output against lives here and
 deliberately avoids the package's own algorithms: truncated
 distributions come from product-space state elimination, optimal values
 from exhaustive enumeration of scheduler assignments, path counts and
-game verdicts from direct recursion over the instance.
+game verdicts from direct recursion over the instance, and Monte Carlo
+streams from a plain per-draw bit stream and step loop.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -270,6 +273,63 @@ def optimal_value_oracle(
         best = value if best is None else pick(best, value)
     assert best is not None
     return best
+
+
+# ---------------------------------------------------------------------------
+# Sampling oracle: one object per bit stream, one scheduler call per choice
+
+
+class ReferenceBits:
+    """Bits of SHA-256(seed ‖ index ‖ counter), counter increasing on demand."""
+
+    def __init__(self, seed: int, index: int) -> None:
+        self.prefix = seed.to_bytes(8, "little") + index.to_bytes(8, "little")
+        self.counter = self.value = self.left = 0
+
+    def below(self, bound: int) -> int:
+        """Uniform integer in [0, bound) by rejection on fixed-width draws."""
+        if bound == 1:
+            return 0
+        width = (bound - 1).bit_length()
+        while True:
+            while self.left < width:
+                block = self.prefix + self.counter.to_bytes(8, "little")
+                self.counter += 1
+                digest = int.from_bytes(hashlib.sha256(block).digest(), "big")
+                self.value = (self.value << 256) | digest
+                self.left += 256
+            self.left -= width
+            draw = self.value >> self.left
+            self.value &= (1 << self.left) - 1
+            if draw < bound:
+                return draw
+
+
+def reference_run(
+    process: co.CostProcess, scheduler, seed: int, index: int, max_steps: int
+) -> int | None:
+    """Final cost of run (seed, index), or None past ``max_steps`` steps."""
+    bits = ReferenceBits(seed, index)
+    state, cost, steps = process.initial, 0, 0
+    while state != process.target:
+        steps += 1
+        if steps > max_steps:
+            return None
+        actions = process.enabled[state]
+        if len(actions) == 1:
+            action = actions[0]
+        else:
+            action = scheduler.action_at(process, state, cost)
+        entries = process.transitions[(state, action)]
+        den = math.lcm(*(entry.prob.denominator for entry in entries))
+        draw = bits.below(den)
+        acc = 0
+        for entry in entries:
+            acc += entry.prob * den
+            if draw < acc:
+                state, cost = entry.successor, cost + entry.cost
+                break
+    return cost
 
 
 # ---------------------------------------------------------------------------

@@ -134,3 +134,68 @@ def test_deep_hand_built_trees_need_no_recursion():
     accept = co.normalize(mixed)
     for value in (0, 1, 2, 1500, 2999, 3000, 3001):
         assert co.satisfies(value, mixed) == (value in accept)
+
+
+def _not_tower(bound, depth=5000):
+    node = Atom(bound)
+    for _ in range(depth):
+        node = Not(node)
+    return node
+
+
+def _and_or_ladder(top, depth=3000):
+    node = Atom(0)
+    for bound in range(1, depth):
+        node = And(Or(node, Not(Atom(bound))), Atom(top))
+    return node
+
+
+def test_deep_trees_hash_compare_and_repr_without_recursion():
+    deep, twin = _not_tower(3), _not_tower(3)
+    assert deep == twin and hash(deep) == hash(twin)
+    assert deep != _not_tower(4) and deep != _not_tower(3, 4999)
+    assert repr(deep) == "Not(inner=" * 5000 + "Atom(bound=3)" + ")" * 5000
+
+    ladder, rung = _and_or_ladder(7), _and_or_ladder(7)
+    assert ladder == rung and hash(ladder) == hash(rung)
+    assert ladder != _and_or_ladder(8) and ladder != deep
+    assert {ladder: 1}[rung] == 1
+    text = repr(ladder)
+    assert text.startswith("And(left=Or(left=And(left=Or(left=")
+    assert text.endswith(", right=Atom(bound=7))")
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("x<=5", "Atom(bound=5)"),
+        ("!(x<=2)", "Not(inner=Atom(bound=2))"),
+        ("x=4", "And(left=Atom(bound=4), right=Not(inner=Atom(bound=3)))"),
+        (
+            "x<=3 & !(x<=1) | x>=7",
+            "Or(left=And(left=Atom(bound=3), right=Not(inner=Atom(bound=1))), "
+            "right=Not(inner=Atom(bound=6)))",
+        ),
+    ],
+)
+def test_parsed_formulas_keep_equality_hash_and_repr(text, expected):
+    formula = co.parse(text)
+    assert repr(formula) == expected
+    assert formula == co.parse(text) and hash(formula) == hash(co.parse(text))
+    assert formula != co.parse(f"!({text})") and formula != co.parse("x<=9")
+    assert formula != text and not formula == expected
+
+
+@given(formulas, formulas)
+def test_equality_agrees_with_repr_and_hash(a, b):
+    assert (a == b) == (repr(a) == repr(b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_connectives_and_operand_order_tell_trees_apart():
+    left, right = Atom(1), Not(Atom(2))
+    assert And(left, right) != Or(left, right)
+    assert And(left, right) != And(right, left)
+    assert Atom(1) != 1 and Atom(1) == Atom(1)
+    assert len({And(left, right), And(Atom(1), Not(Atom(2))), Or(left, right)}) == 2

@@ -1,6 +1,7 @@
 """Seeded sampling: reproducibility and agreement with exact values."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -8,7 +9,39 @@ import costodds as co
 from costodds import GuardExceededError, NotValidatedError, SchedulerGapError
 from costodds import mc
 from costodds.mc import estimate, sample_run
-from helpers import HALF, ONE, choice_example, geometric_chain, two_flip_chain
+from helpers import (
+    HALF,
+    ONE,
+    choice_example,
+    geometric_chain,
+    random_formula,
+    random_process,
+    reference_run,
+    two_flip_chain,
+)
+
+WIDE = 2**300 + 1
+
+
+def _oracle_report(process, scheduler, formula, n, seed, max_steps):
+    """(n, hits, guard_trips) of the reference stream, as ``estimate`` counts them."""
+    costs = [reference_run(process, scheduler, seed, i, max_steps) for i in range(n)]
+    done = [cost for cost in costs if cost is not None]
+    hits = sum(1 for cost in done if co.satisfies(cost, formula))
+    return len(done), hits, n - len(done)
+
+
+def _assert_streams_match(process, scheduler, formula, n, seed, max_steps=mc.STEP_GUARD):
+    for index in range(0, n, 7):
+        expected = reference_run(process, scheduler, seed, index, max_steps)
+        if expected is None:
+            with pytest.raises(GuardExceededError):
+                sample_run(process, scheduler, seed, index, max_steps)
+        else:
+            assert sample_run(process, scheduler, seed, index, max_steps) == expected
+    report = estimate(process, scheduler, formula, n, seed)
+    expected = _oracle_report(process, scheduler, formula, n, seed, max_steps)
+    assert (report.n, report.hits, report.guard_trips) == expected
 
 
 def test_runs_are_reproducible_bit_for_bit():
@@ -98,3 +131,54 @@ def test_rejects_invalid_models_and_empty_sampling_plans():
         estimate(broken, None, co.parse("x<=1"), 10, 1)
     with pytest.raises(ValueError):
         estimate(two_flip_chain(), None, co.parse("x<=1"), 0, 1)
+
+
+def test_streams_match_the_reference_under_solved_schedulers():
+    rng = Random(13)
+    for case in range(12):
+        process = random_process(rng, max_states=6, max_cost=3)
+        formula = random_formula(rng, max_bound=3)
+        for solver in (co.solve_max, co.solve_min):
+            scheduler = solver(process, formula).scheduler
+            _assert_streams_match(process, scheduler, formula, 120, case)
+
+
+def test_costs_past_the_budget_follow_the_top_entry():
+    # q1 is reached at cost 1 or 3; cost 3 lies past the budget, where
+    # only the TOP entry applies, and it picks the other action.
+    process = choice_example()
+    scheduler = co.Scheduler(1, {("q1", 1): "a1", ("q1", co.TOP): "a2"})
+    _assert_streams_match(process, scheduler, co.parse("x<=5"), 300, 8)
+    # a1 at cost 3 would end at 6; a2 ends at 4 or 9.
+    assert {sample_run(process, scheduler, 8, i) for i in range(40)} == {4, 9}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # den == 1 between two coins: the first step draws nothing.
+        [("q0", "q1", 1, ONE), ("q1", "t", 0, HALF), ("q1", "q0", 2, HALF)],
+        # den == 3 rejects the two-bit draw 3.
+        [("q0", "t", 1, Fraction(1, 3)), ("q0", "q0", 2, Fraction(2, 3))],
+        # A 301-bit denominator: every draw spans two digests.
+        [
+            ("q0", "q0", 1, Fraction(2**299, WIDE)),
+            ("q0", "t", 2, Fraction(WIDE - 2**299, WIDE)),
+        ],
+        [("q0", "q0", 1, Fraction(1, WIDE)), ("q0", "t", 2, Fraction(WIDE - 1, WIDE))],
+    ],
+    ids=["den-1", "den-3", "wide-coin", "wide-complement"],
+)
+def test_streams_match_the_reference_on_every_draw_width(rows):
+    chain = co.build_chain(rows, "q0", "t")
+    _assert_streams_match(chain, None, co.parse("x<=4"), 300, 21)
+
+
+def test_guard_trips_match_the_reference(monkeypatch):
+    monkeypatch.setattr(mc, "STEP_GUARD", 3)
+    process = choice_example()
+    scheduler = co.solve_max(process, co.parse("x<=5")).scheduler
+    for chain, sched in ((geometric_chain(), None), (process, scheduler)):
+        _assert_streams_match(chain, sched, co.parse("x<=1"), 200, 5, max_steps=3)
+    report = estimate(geometric_chain(), None, co.parse("x<=1"), 200, 5)
+    assert report.guard_trips > 0
