@@ -1,35 +1,53 @@
 """Exact accumulated-cost distributions for cost chains.
 
 The accumulated cost at absorption is a random non-negative integer K.
-Everything here is exact: probabilities are Fractions, and the
-distribution is truncated at a caller-chosen budget with all excess mass
-folded into a single overflow bucket, which is enough to evaluate any
-budget formula because verdicts are constant beyond the largest constant.
+Everything here is exact. The distribution is truncated at a caller-chosen
+budget with all excess mass folded into a single overflow bucket, which is
+enough to evaluate any budget formula because verdicts are constant beyond
+the largest constant.
 
-The engine walks cost levels in increasing order. Costs never decrease
-along a run, so mass can only flow from a level to strictly higher ones,
-except through zero-cost transitions, which stay inside the level. Each
-level's zero-cost subgraph is split by ``linalg.strongly_connected`` and
-resolved component by component with ``linalg.resolve_component``: one
-state at a time where it is acyclic, by an exact linear solve for the
-expected visit counts where it is cyclic. A level without zero-cost
-edges keeps its inflow as is. Levels are kept sparse (a heap of occupied
-levels), so huge budgets with few reachable cost values stay cheap.
+Each call first compiles the chain to integers (``_compile``): D, the lcm
+of its probability denominators; per reachable state, the edges that
+leave its cost level or enter the target, as (successor, cost, weight)
+rows with weight = prob·D; and the zero-cost closure N = (I − Z)^-1 of
+the zero-cost subgraph Z, as int rows over one common denominator E, for
+the states that have zero-cost edges. The closure takes one pass of
+``linalg.strongly_connected`` and one fraction-free solve
+(``linalg.solve_integer_system``) per cyclic zero-cost component.
+
+The walk then visits cost levels in increasing order. Costs never
+decrease along a run, so mass flows from a level only to strictly higher
+ones, except through zero-cost transitions, which the closure settles in
+one product: a level whose inflow touches a zero-cost state multiplies
+it by N. A pending level is one int denominator and a numerator per
+state. A flow n·w lands over den·D; numbers meeting with different
+denominators are rescaled by the quotient when one denominator divides
+the other, to their lcm otherwise. Levels are kept sparse (a heap of
+occupied levels), so huge budgets with few reachable cost values stay
+cheap. Fractions appear only at the boundary: one per mass entry and one
+for the overflow, or one accepted total in ``solve_chain``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import NotAChainError
 from .formula import Formula, max_constant, normalize
-from .linalg import resolve_component, strongly_connected
-from .model import CostChain, Transition, is_chain, require_valid
+from .linalg import solve_integer_system, strongly_connected
+from .model import CostChain, is_chain, require_valid
 
-__all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain"]
+__all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain", "tail_probability"]
+
+# Per state: (successor, cost, weight) rows, weight = prob·D.
+_Rows = dict[str, tuple[tuple[str, int, int], ...]]
+# Per state with zero-cost edges: its row of N as numerators over E, and
+# whether a cyclic zero-cost component is reachable from it.
+_Closure = dict[str, tuple[dict[str, int], bool]]
 
 
 @dataclass(frozen=True)
@@ -39,8 +57,9 @@ class TruncatedDistribution:
     ``mass`` maps each cost in [0, budget] with nonzero probability to
     P(K = cost); ``overflow`` is P(K > budget). The entries and the
     overflow always sum to exactly 1. ``stats`` carries solver counters
-    (levels processed, linear solves, peak numerator size) and does not
-    participate in equality.
+    (levels processed, levels whose zero-cost part is cyclic and so
+    counts one linear solve, peak numerator size of a reduced visit
+    count) and does not participate in equality.
     """
 
     budget: int
@@ -64,114 +83,228 @@ def cost_distribution(chain: CostChain, budget: int) -> TruncatedDistribution:
         NotValidatedError: if ``validate`` reports violations.
         ValueError: on a negative or non-integer budget.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise ValueError(f"budget must be a non-negative int, got {budget!r}")
-    if not is_chain(chain):
-        raise NotAChainError("process has states with more than one enabled action")
-    require_valid(chain)
-
-    target = chain.target
-    dist: dict[str, tuple[Transition, ...]] = {
-        q: chain.transitions[(q, chain.enabled[q][0])] for q in chain.states
-    }
-
-    stats = {"levels": 0, "linear_solves": 0, "max_numerator_bits": 0}
-    mass: dict[int, Fraction] = {}
-    overflow = Fraction(0)
-
-    if chain.initial == target:
-        mass[0] = Fraction(1)
-        return TruncatedDistribution(budget, mass, overflow, stats)
-
-    pending: dict[int, dict[str, Fraction]] = {0: {chain.initial: Fraction(1)}}
-    heap = [0]
-    while heap:
-        level = heapq.heappop(heap)
-        inflow = pending.pop(level)
-        visits = _zero_level_visits(inflow, dist, target, stats)
-        stats["levels"] += 1
-        for q, count in visits.items():
-            if count == 0:
-                continue
-            bits = count.numerator.bit_length()
-            if bits > stats["max_numerator_bits"]:
-                stats["max_numerator_bits"] = bits
-            for succ, cost, prob, _ in dist[q]:
-                flow = count * prob
-                if succ == target:
-                    total = level + cost
-                    if total <= budget:
-                        mass[total] = mass.get(total, Fraction(0)) + flow
-                    else:
-                        overflow += flow
-                elif cost == 0:
-                    continue
-                else:
-                    total = level + cost
-                    if total > budget:
-                        overflow += flow
-                    else:
-                        bucket = pending.get(total)
-                        if bucket is None:
-                            pending[total] = {succ: flow}
-                            heapq.heappush(heap, total)
-                        else:
-                            bucket[succ] = bucket.get(succ, Fraction(0)) + flow
-
-    assert sum(mass.values(), overflow) == 1
-    return TruncatedDistribution(budget, mass, overflow, stats)
+    mass, overflow, stats = _walk(chain, budget)
+    return TruncatedDistribution(
+        budget,
+        {cost: Fraction(num, den) for cost, (num, den) in mass.items()},
+        Fraction(*overflow),
+        stats,
+    )
 
 
 def solve_chain(chain: CostChain, formula: Formula) -> Fraction:
     """Exact probability that the accumulated cost satisfies the formula."""
     accept = normalize(formula)
     budget = max_constant(formula)
-    distribution = cost_distribution(chain, budget)
-    total = sum(
-        (p for c, p in distribution.mass.items() if c in accept),
-        Fraction(0),
-    )
+    mass, overflow, _ = _walk(chain, budget)
+    cells = [cell for cost, cell in mass.items() if cost in accept]
     if budget + 1 in accept:
-        total += distribution.overflow
-    return total
+        cells.append(overflow)
+    return Fraction(*_total(cells))
 
 
-def _zero_level_visits(
-    inflow: dict[str, Fraction],
-    dist: Mapping[str, tuple[Transition, ...]],
-    target: str,
-    stats: dict[str, int],
-) -> dict[str, Fraction]:
-    """Expected visit counts within one cost level's zero-cost subgraph.
+def tail_probability(chain: CostChain, budget: int) -> Fraction:
+    """P(K > budget): the overflow of ``cost_distribution`` alone."""
+    return Fraction(*_walk(chain, budget)[1])
 
-    The subgraph spans the non-target states reachable from the inflow
-    support via zero-cost transitions. The counts solve v = inflow + Z^T v,
-    which is nonsingular because no zero-cost end component can exist in
-    a validated process. Each state is a one-action component member
-    whose edges are its zero-cost predecessors, so components resolve
-    predecessors first; a level counts one linear solve if any of its
-    components is cyclic.
-    """
-    relevant: list[str] = list(inflow)
-    seen = set(inflow)
-    predecessors: dict[str, list[tuple[str, Fraction]]] = {}
-    for q in relevant:
+
+def _walk(
+    chain: CostChain, budget: int
+) -> tuple[dict[int, list[int]], list[int], dict[str, int]]:
+    """The level walk: mass per cost and the overflow as [numerator,
+    denominator] pairs, unreduced, and the solver counters."""
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        raise ValueError(f"budget must be a non-negative int, got {budget!r}")
+    if not is_chain(chain):
+        raise NotAChainError("process has states with more than one enabled action")
+    require_valid(chain)
+
+    stats = {"levels": 0, "linear_solves": 0, "max_numerator_bits": 0}
+    mass: dict[int, list[int]] = {}
+    overflow = [0, 1]
+    if chain.initial == chain.target:
+        mass[0] = [1, 1]
+        return mass, overflow, stats
+
+    target = chain.target
+    scale, rows, closure_den, closure = _compile(chain)
+    max_bits = 0
+    pending: dict[int, list] = {0: [1, {chain.initial: 1}]}
+    heap = [0]
+    while heap:
+        level = heapq.heappop(heap)
+        den, visits = pending.pop(level)
+        if closure and not closure.keys().isdisjoint(visits):
+            inflow, visits = visits, {}
+            cyclic = False
+            for q, n in inflow.items():
+                entry = closure.get(q)
+                if entry is None:
+                    visits[q] = visits.get(q, 0) + n * closure_den
+                    continue
+                row, looped = entry
+                cyclic = cyclic or looped
+                for r, c in row.items():
+                    visits[r] = visits.get(r, 0) + n * c
+            den *= closure_den
+            stats["linear_solves"] += cyclic
+        stats["levels"] += 1
+
+        hits: dict[int, int] = {}
+        spill = 0
+        moves: dict[int, dict[str, int]] = {}
+        for q, n in visits.items():
+            if n.bit_length() > max_bits:
+                max_bits = max(max_bits, (n // math.gcd(n, den)).bit_length())
+            for succ, cost, weight in rows[q]:
+                total = level + cost
+                if total > budget:
+                    spill += n * weight
+                elif succ == target:
+                    hits[total] = hits.get(total, 0) + n * weight
+                else:
+                    bucket = moves.get(total)
+                    if bucket is None:
+                        moves[total] = {succ: n * weight}
+                    else:
+                        bucket[succ] = bucket.get(succ, 0) + n * weight
+
+        out = den * scale
+        for total, num in hits.items():
+            cell = mass.get(total)
+            if cell is None:
+                mass[total] = [num, out]
+            else:
+                _accumulate(cell, num, out)
+        if spill:
+            _accumulate(overflow, spill, out)
+        for total, flows in moves.items():
+            bucket = pending.get(total)
+            if bucket is None:
+                pending[total] = [out, flows]
+                heapq.heappush(heap, total)
+                continue
+            common = _common(bucket[0], out)
+            if common != bucket[0]:
+                factor = common // bucket[0]
+                bucket[0] = common
+                bucket[1] = {q: n * factor for q, n in bucket[1].items()}
+            factor = common // out
+            nums = bucket[1]
+            for q, n in flows.items():
+                nums[q] = nums.get(q, 0) + n * factor
+
+    stats["max_numerator_bits"] = max_bits
+    num, den = _total([*mass.values(), overflow])
+    assert num == den
+    return mass, overflow, stats
+
+
+def _compile(chain: CostChain) -> tuple[int, _Rows, int, _Closure]:
+    """D, the per-state rows, E and the zero-cost closure of a chain."""
+    target = chain.target
+    states = [q for q in chain.states if q in chain.reachable and q != target]
+    dist = {q: chain.transitions[(q, chain.enabled[q][0])] for q in states}
+    scale = math.lcm(*(e.prob.denominator for q in states for e in dist[q]))
+    rows: _Rows = {}
+    zero: dict[str, list[tuple[str, int]]] = {}
+    for q in states:
+        row = []
         for succ, cost, prob, _ in dist[q]:
+            weight = prob.numerator * (scale // prob.denominator)
             if cost == 0 and succ != target:
-                if succ not in seen:
-                    seen.add(succ)
-                    relevant.append(succ)
-                predecessors.setdefault(succ, []).append((q, prob))
-    if not predecessors:
-        return inflow
+                zero.setdefault(q, []).append((succ, weight))
+            else:
+                row.append((succ, cost, weight))
+        rows[q] = tuple(row)
+    closure_den, closure = _closure(zero, scale)
+    return scale, rows, closure_den, closure
 
-    zero = Fraction(0)
-    options = {q: ((inflow.get(q, zero), predecessors.get(q, ())),) for q in relevant}
-    visits: dict[str, Fraction] = {}
-    components = strongly_connected(relevant, lambda q: [p for p, _ in predecessors.get(q, ())])
-    solved = [
-        resolve_component(members, cyclic, options, visits, "max")[1]
-        for members, cyclic in components
-    ]
-    stats["linear_solves"] += any(solved)
-    return visits
+
+def _closure(zero: dict[str, list[tuple[str, int]]], scale: int) -> tuple[int, _Closure]:
+    """Rows of N = (I − Z)^-1 for the states with zero-cost edges, over E.
+
+    Row q of N holds the expected visits to each state of a run that
+    enters q and moves along zero-cost edges only:
+    N[q] = e_q + Σ (w/D)·N[u] over q's zero-cost edges (q, u, w). Tarjan
+    emits a component after every component it reaches, so the rows of
+    the states outside a component are known when it comes. Its members'
+    rows then solve D·N[q] − Σ_inside w·N[u] = D·e_q + Σ_outside w·N[u],
+    scaled by the lcm L of the outside rows' denominators: directly for
+    a lone state, by one fraction-free solve for a cyclic component. A
+    state without zero-cost edges has the unit row and is left out.
+    """
+    found: dict[str, tuple[int, dict[str, int], bool]] = {}
+    for members, cyclic in strongly_connected(zero, lambda q: [u for u, _ in zero.get(q, ())]):
+        if members[0] not in zero:
+            continue
+        index = {q: i for i, q in enumerate(members)}
+        outside = {
+            u: found.get(u) or (1, {u: 1}, False)
+            for q in members
+            for u, _ in zero[q]
+            if u not in index
+        }
+        lcm_out = math.lcm(*(den for den, _, _ in outside.values()))
+        columns = dict(index)
+        for _, entries, _ in outside.values():
+            for r in entries:
+                columns.setdefault(r, len(columns))
+        matrix = [[0] * len(members) for _ in members]
+        rhs = [[0] * len(columns) for _ in members]
+        for i, q in enumerate(members):
+            matrix[i][i] += scale
+            rhs[i][i] += scale * lcm_out
+            for u, w in zero[q]:
+                j = index.get(u)
+                if j is not None:
+                    matrix[i][j] -= w
+                    continue
+                den, entries, _ = outside[u]
+                factor = w * (lcm_out // den)
+                for r, c in entries.items():
+                    rhs[i][columns[r]] += factor * c
+        det, solution = solve_integer_system(matrix, rhs) if cyclic else (scale, rhs)
+        looped = cyclic or any(flag for _, _, flag in outside.values())
+        for q, values in zip(members, solution):
+            g = math.gcd(det * lcm_out, *values)
+            row = {r: values[j] // g for r, j in columns.items()}
+            found[q] = (det * lcm_out // g, row, looped)
+
+    closure_den = math.lcm(*(den for den, _, _ in found.values()))
+    closure = {
+        q: ({r: c * (closure_den // den) for r, c in row.items()}, looped)
+        for q, (den, row, looped) in found.items()
+    }
+    return closure_den, closure
+
+
+def _common(a: int, b: int) -> int:
+    """A common denominator: the larger when one divides the other, else the lcm."""
+    if a == b or a % b == 0:
+        return a
+    if b % a == 0:
+        return b
+    return math.lcm(a, b)
+
+
+def _accumulate(cell: list[int], num: int, den: int) -> None:
+    """cell[0]/cell[1] += num/den, over a common denominator."""
+    common = _common(cell[1], den)
+    cell[0] = cell[0] * (common // cell[1]) + num * (common // den)
+    cell[1] = common
+
+
+def _total(cells) -> tuple[int, int]:
+    """The sum of [numerator, denominator] pairs, unreduced.
+
+    Numerators over the same denominator add first, since a walk's many
+    cells share a few dozen denominators at most.
+    """
+    by_den: dict[int, int] = {}
+    for num, den in cells:
+        by_den[den] = by_den.get(den, 0) + num
+    acc = [0, 1]
+    for den, num in by_den.items():
+        _accumulate(acc, num, den)
+    return acc[0], acc[1]

@@ -11,12 +11,13 @@ reports carrying the same values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from .chain_solver import cost_distribution, solve_chain
-from .errors import CostOddsError, NotValidatedError, ThresholdRangeError
+from .errors import CostOddsError, ModelFormatError, NotValidatedError, ThresholdRangeError
 from .formula import normalize, parse, to_text
 from .gadgets import (
     circuit_from_json,
@@ -75,7 +76,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use and then shared: parsing leaves no state in it,
+    # and no argument has a mutable default.
     parser = argparse.ArgumentParser(
         prog="costodds",
         description="Exact budget-probability queries on cost processes.",
@@ -185,7 +189,10 @@ def _command(subparsers, name: str, help_text: str):
 
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ModelFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ..chain_solver import cost_distribution
+from ..chain_solver import tail_probability
 from ..errors import PreconditionError
 from ..formula import Formula, parse
 from ..model import CostChain, build_chain, is_acyclic
@@ -286,6 +286,6 @@ def _tail_offset(certificate: GadgetCertificate, target: int, scale: int) -> int
         degree = certificate.bookkeeping["d"]
         log_bound = exp2 * ln_upper(Fraction(2)) + expd * ln_upper(Fraction(degree)) + 1
         offset = max(offset, tail_budget(chain, log_bound))
-    while cost_distribution(chain, offset).overflow >= Fraction(1, scale):
+    while tail_probability(chain, offset) >= Fraction(1, scale):
         offset *= 2
     return offset

@@ -11,6 +11,9 @@ evaluations are square systems with Fraction entries. Floating point is
 never acceptable there, so ``solve_linear_system`` does plain Gaussian
 elimination with partial (first-nonzero) pivoting on exact rationals.
 Systems stay small: one row per member of the component.
+``solve_integer_system`` solves integer systems with any number of
+right-hand sides without building a fraction: the chain solver's
+zero-cost closure uses it once per cyclic component.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ from typing import Callable, Iterable, Iterator, Mapping, MutableMapping
 
 from .errors import SingularMatrixError
 
-__all__ = ["resolve_component", "solve_linear_system", "strongly_connected"]
+__all__ = [
+    "resolve_component",
+    "solve_integer_system",
+    "solve_linear_system",
+    "strongly_connected",
+]
 
 
 def strongly_connected(
@@ -202,3 +210,43 @@ def solve_linear_system(
                 acc -= row[c] * solution[c]
         solution[r] = acc / row[r]
     return solution
+
+
+def solve_integer_system(
+    matrix: list[list[int]], rhs: list[list[int]]
+) -> tuple[int, list[list[int]]]:
+    """Solve ``matrix @ X = rhs`` over the integers, with no fractions.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): each step
+    replaces a row by (pivot·row − factor·lead) / previous pivot, a
+    division that is always exact, so every entry stays an integer.
+
+    Args:
+        matrix: square integer coefficient matrix; inputs untouched.
+        rhs: one integer row per matrix row, any number of columns.
+
+    Returns:
+        (d, Y) with d > 0 and matrix @ Y = d·rhs, so X = Y / d.
+
+    Raises:
+        SingularMatrixError: if the matrix has no unique solution.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
+        raise ValueError("matrix must be square and match the rhs length")
+    rows = [[*row, *extra] for row, extra in zip(matrix, rhs)]
+    previous = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"no pivot in column {col}")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        lead = rows[col]
+        pivot = lead[col]
+        for r in range(n):
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [(pivot * a - factor * b) // previous for a, b in zip(rows[r], lead)]
+        previous = pivot
+    sign = -1 if previous < 0 else 1
+    return sign * previous, [[sign * value for value in row[n:]] for row in rows]

@@ -69,9 +69,12 @@ def sample_run(
 ) -> int:
     """Simulate one run and return its accumulated cost at the target.
 
-    Deterministic in (seed, index). The scheduler may be None when every
+    Deterministic in (seed, index), which must lie in [0, 2^64)
+    (``ValueError`` otherwise). The scheduler may be None when every
     state has a single action.
     """
+    _check_word("seed", seed)
+    _check_word("index", index)
     require_valid(process)
     table = _compile(process)
     tally, trips = _runs(process, table, scheduler, seed, (index,), max_steps)
@@ -90,11 +93,15 @@ def estimate(
 ) -> SampleReport:
     """Estimate P(K satisfies the formula) from n seeded samples.
 
-    Bit-exact reproducible for fixed inputs. Runs that trip the step
-    guard are counted in ``guard_trips`` and excluded from the ratio.
+    Bit-exact reproducible for fixed inputs; the seed and the run
+    indices 0..n-1 must lie in [0, 2^64) (``ValueError`` otherwise).
+    Runs that trip the step guard are counted in ``guard_trips`` and
+    excluded from the ratio.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
+    _check_word("seed", seed)
+    _check_word("index", n - 1)
     require_valid(process)
     table = _compile(process)
     accept = normalize(formula)
@@ -113,6 +120,12 @@ def estimate(
         seed=seed,
         guard_trips=trips,
     )
+
+
+def _check_word(name: str, value: int) -> None:
+    """Seeds and run indices are hashed as 8-byte words."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
 
 
 def _compile(process: CostProcess) -> dict[str, _Row]:

@@ -4,19 +4,23 @@ Everything the suite compares solver output against lives here and
 deliberately avoids the package's own algorithms: truncated
 distributions come from product-space state elimination, optimal values
 from exhaustive enumeration of scheduler assignments, path counts and
-game verdicts from direct recursion over the instance, and Monte Carlo
-streams from a plain per-draw bit stream and step loop.
+game verdicts from direct recursion over the instance, Monte Carlo
+streams from a plain per-draw bit stream and step loop, and the chain
+solver's counters from its earlier Fraction level walk.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import math
 from fractions import Fraction
 from random import Random
+from typing import Mapping
 
 import costodds as co
+from costodds.linalg import resolve_component, strongly_connected
 from costodds.gadgets import ArithmeticCircuit, CountdownGame, make_circuit, make_countdown
 
 HALF = Fraction(1, 2)
@@ -197,6 +201,110 @@ def chain_value_oracle(chain: co.CostChain, formula: co.CostFormula) -> Fraction
 
 
 # ---------------------------------------------------------------------------
+# Chain solver reference: the Fraction level walk
+
+
+def reference_cost_distribution(chain: co.CostChain, budget: int) -> co.TruncatedDistribution:
+    """``cost_distribution`` as a level walk over Fractions, counters included.
+
+    Each level's zero-cost subgraph is split into strongly connected
+    components and resolved one component at a time, with one linear
+    solve counted per level that has a cyclic component.
+    """
+    target = chain.target
+    dist: dict[str, tuple[co.Transition, ...]] = {
+        q: chain.transitions[(q, chain.enabled[q][0])] for q in chain.states
+    }
+
+    stats = {"levels": 0, "linear_solves": 0, "max_numerator_bits": 0}
+    mass: dict[int, Fraction] = {}
+    overflow = Fraction(0)
+
+    if chain.initial == target:
+        mass[0] = Fraction(1)
+        return co.TruncatedDistribution(budget, mass, overflow, stats)
+
+    pending: dict[int, dict[str, Fraction]] = {0: {chain.initial: Fraction(1)}}
+    heap = [0]
+    while heap:
+        level = heapq.heappop(heap)
+        inflow = pending.pop(level)
+        visits = _zero_level_visits(inflow, dist, target, stats)
+        stats["levels"] += 1
+        for q, count in visits.items():
+            if count == 0:
+                continue
+            bits = count.numerator.bit_length()
+            if bits > stats["max_numerator_bits"]:
+                stats["max_numerator_bits"] = bits
+            for succ, cost, prob, _ in dist[q]:
+                flow = count * prob
+                if succ == target:
+                    total = level + cost
+                    if total <= budget:
+                        mass[total] = mass.get(total, Fraction(0)) + flow
+                    else:
+                        overflow += flow
+                elif cost == 0:
+                    continue
+                else:
+                    total = level + cost
+                    if total > budget:
+                        overflow += flow
+                    else:
+                        bucket = pending.get(total)
+                        if bucket is None:
+                            pending[total] = {succ: flow}
+                            heapq.heappush(heap, total)
+                        else:
+                            bucket[succ] = bucket.get(succ, Fraction(0)) + flow
+
+    assert sum(mass.values(), overflow) == 1
+    return co.TruncatedDistribution(budget, mass, overflow, stats)
+
+
+def _zero_level_visits(
+    inflow: dict[str, Fraction],
+    dist: Mapping[str, tuple[co.Transition, ...]],
+    target: str,
+    stats: dict[str, int],
+) -> dict[str, Fraction]:
+    """Expected visit counts within one cost level's zero-cost subgraph.
+
+    The subgraph spans the non-target states reachable from the inflow
+    support via zero-cost transitions. The counts solve v = inflow + Z^T v,
+    which is nonsingular because no zero-cost end component can exist in
+    a validated process. Each state is a one-action component member
+    whose edges are its zero-cost predecessors, so components resolve
+    predecessors first; a level counts one linear solve if any of its
+    components is cyclic.
+    """
+    relevant: list[str] = list(inflow)
+    seen = set(inflow)
+    predecessors: dict[str, list[tuple[str, Fraction]]] = {}
+    for q in relevant:
+        for succ, cost, prob, _ in dist[q]:
+            if cost == 0 and succ != target:
+                if succ not in seen:
+                    seen.add(succ)
+                    relevant.append(succ)
+                predecessors.setdefault(succ, []).append((q, prob))
+    if not predecessors:
+        return inflow
+
+    zero = Fraction(0)
+    options = {q: ((inflow.get(q, zero), predecessors.get(q, ())),) for q in relevant}
+    visits: dict[str, Fraction] = {}
+    components = strongly_connected(relevant, lambda q: [p for p, _ in predecessors.get(q, ())])
+    solved = [
+        resolve_component(members, cyclic, options, visits, "max")[1]
+        for members, cyclic in components
+    ]
+    stats["linear_solves"] += any(solved)
+    return visits
+
+
+# ---------------------------------------------------------------------------
 # Process oracle: exhaustive scheduler assignments on the truncated space
 
 
@@ -356,6 +464,34 @@ def random_chain(rng: Random, max_states: int = 5, max_cost: int = 3) -> co.Cost
         if co.validate(chain).ok:
             return chain
     raise AssertionError("chain generator kept producing invalid models")
+
+
+# Probability with a 301-bit denominator.
+WIDE_PROB = Fraction(2**300 + 1, 2**301)
+
+
+def mixed_denominator_chain(rng: Random, max_states: int = 5) -> co.CostChain:
+    """A validated chain mixing denominators 2, 3, 7 and 2^301.
+
+    Each state has a forward edge (toward the target, so every closed set
+    holds it) and a second edge anywhere, often at cost zero, and some
+    have a zero-cost self-loop; positive-cost edges back into zero-cost
+    cycles make the walk meet those cycles at many cost levels.
+    """
+    names = [f"s{i}" for i in range(rng.randint(1, max_states))] + ["t"]
+    n = len(names) - 1
+    entries = []
+    for i, state in enumerate(names[:-1]):
+        first = rng.choice((HALF, Fraction(1, 3), Fraction(2, 7), WIDE_PROB))
+        entries.append((state, names[rng.randint(i + 1, n)], rng.randint(0, 3), first))
+        rest = 1 - first
+        loop = rest * rng.choice((0, 0, Fraction(1, 3), Fraction(2, 7)))
+        if loop:
+            entries.append((state, state, 0, loop))
+        entries.append((state, names[rng.randrange(n + 1)], rng.choice((0, 0, 1, 2)), rest - loop))
+    chain = co.build_chain(entries, "s0", "t")
+    assert co.validate(chain).ok
+    return chain
 
 
 def random_process(

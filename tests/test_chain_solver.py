@@ -5,12 +5,16 @@ were computed by hand where noted.
 """
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
 
 import costodds as co
 from costodds import NotAChainError, NotValidatedError
+from costodds.chain_solver import tail_probability
+from costodds.gadgets import chainify, posslp_instance
+from costodds.linalg import solve_integer_system, solve_linear_system
 
 from helpers import (
     HALF,
@@ -19,8 +23,11 @@ from helpers import (
     chain_value_oracle,
     choice_example,
     geometric_chain,
+    mixed_denominator_chain,
+    posslp_corpus,
     random_chain,
     random_formula,
+    reference_cost_distribution,
     two_cycle_chain,
     two_flip_chain,
     zero_loop_chain,
@@ -144,3 +151,69 @@ def test_stats_are_plain_counters():
     stats = co.cost_distribution(geometric_chain(), 4).stats
     assert set(stats) == {"levels", "linear_solves", "max_numerator_bits"}
     assert all(isinstance(v, int) and v >= 0 for v in stats.values())
+
+
+def assert_same_walk(dist, reference):
+    assert dict(dist.mass) == dict(reference.mass)
+    assert dist.overflow == reference.overflow
+    assert dict(dist.stats) == dict(reference.stats)
+
+
+def test_integer_walk_matches_the_fraction_walk():
+    # Mixed denominators, zero-cost cycles met at many levels and
+    # zero-cost self-loops; mass, overflow and every counter agree.
+    rng = Random(34)
+    solves = 0
+    for _ in range(120):
+        chain = mixed_denominator_chain(rng)
+        for budget in (0, rng.randint(1, 39), 40):
+            dist = co.cost_distribution(chain, budget)
+            assert_same_walk(dist, reference_cost_distribution(chain, budget))
+            assert tail_probability(chain, budget) == dist.overflow
+            solves += dist.stats["linear_solves"]
+    assert solves > 400
+
+
+def test_fixed_chains_match_the_fraction_walk():
+    for chain in (two_cycle_chain(), zero_loop_chain(), geometric_chain(), two_flip_chain()):
+        for budget in range(0, 41, 4):
+            assert_same_walk(
+                co.cost_distribution(chain, budget), reference_cost_distribution(chain, budget)
+            )
+
+
+def test_criterion_four_chains_match_the_fraction_walk(monkeypatch):
+    def reference_tail(chain, budget):
+        return reference_cost_distribution(chain, budget).overflow
+
+    for circuit, gates in posslp_corpus():
+        for first, second in product(gates, repeat=2):
+            chain, formula, certificate = posslp_instance(circuit, first, second)
+            budget = co.max_constant(formula)
+            assert_same_walk(
+                co.cost_distribution(chain, budget), reference_cost_distribution(chain, budget)
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(chainify, "tail_probability", reference_tail)
+                _, _, reference = posslp_instance(circuit, first, second)
+            assert certificate.bookkeeping["H"] == reference.bookkeeping["H"]
+
+
+def test_integer_solves_match_fraction_solves():
+    rng = Random(35)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        matrix = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            matrix[i][i] += 20  # diagonally dominant, so nonsingular
+        rhs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(n)]
+        det, solution = solve_integer_system(matrix, rhs)
+        assert det > 0
+        for column in range(3):
+            expected = solve_linear_system(
+                [[Fraction(v) for v in row] for row in matrix],
+                [Fraction(row[column]) for row in rhs],
+            )
+            assert [Fraction(row[column], det) for row in solution] == expected
+    with pytest.raises(co.SingularMatrixError):
+        solve_integer_system([[1, 2], [2, 4]], [[1], [1]])

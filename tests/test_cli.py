@@ -5,7 +5,7 @@ import json
 import pytest
 
 import costodds as co
-from costodds.cli import canonical_json, main
+from costodds.cli import _build_parser, canonical_json, main
 from costodds.gadgets import circuit_to_json, make_circuit
 from helpers import choice_example, geometric_chain, level_four_tower, two_flip_chain
 
@@ -477,6 +477,32 @@ def test_unexpected_errors_exit_with_two(capsys, monkeypatch, choice_model, fail
     assert out == ""
     assert "Traceback" not in err
     assert err.splitlines() == [f"error: {type(failure).__name__}: {failure}"]
+
+
+def test_sample_refuses_seeds_outside_64_bits(capsys, two_flip_model):
+    code, out, err = run(
+        capsys, "sample", "--model", two_flip_model, "--formula", "x<=1", "--n", "4", "--seed", "-1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: seed must lie in [0, 2^64), got -1\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["gadget", "cu", "--T", "1"]])
+def test_deeply_nested_json_is_a_format_error(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, *command, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
+    assert "RecursionError" not in err
+
+
+def test_parser_is_built_once(capsys, two_flip_model):
+    assert _build_parser() is _build_parser()
+    # A shared parser keeps no state between calls.
+    first = run(capsys, "dist", "--model", two_flip_model, "--budget", "3", "--json")
+    assert run(capsys, "dist", "--model", two_flip_model, "--budget", "3") != first
+    assert run(capsys, "dist", "--model", two_flip_model, "--budget", "3", "--json") == first
 
 
 def test_missing_files_exit_with_two(capsys):

@@ -59,6 +59,21 @@ def test_pinned_sample_costs():
     assert [sample_run(chain, None, 7, i) for i in range(6)] == [3, 3, 3, 1, 1, 1]
 
 
+@pytest.mark.parametrize("word", [-1, 2**64])
+def test_seeds_and_indexes_outside_64_bits_are_refused(word):
+    chain = two_flip_chain()
+    formula = co.parse("x<=1")
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        estimate(chain, None, formula, 4, word)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        sample_run(chain, None, word)
+    with pytest.raises(ValueError, match=r"index must lie in \[0, 2\^64\)"):
+        sample_run(chain, None, 7, word)
+    # The largest seed and index still draw.
+    assert sample_run(chain, None, 2**64 - 1, 2**64 - 1) in (1, 3)
+    assert estimate(chain, None, formula, 4, 2**64 - 1).n == 4
+
+
 def test_seeds_and_indexes_vary_the_draws():
     chain = geometric_chain()
     one = [sample_run(chain, None, 1, i) for i in range(50)]
