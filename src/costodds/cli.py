@@ -55,6 +55,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Exact answers may run past CPython's cap on int <-> str digits.
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except CostOddsError as exc:
@@ -74,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
         # Exit statuses 0 and 1 are answers, so nothing unexpected may end in them.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 @functools.cache

@@ -215,7 +215,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # a non-ASCII digit, or past the int <-> str digit cap
+                raise FormulaSyntaxError(f"cannot read the {j - i}-digit integer", i) from None
             i = j
         else:
             raise FormulaSyntaxError(f"unexpected character {ch!r}", i)

@@ -8,17 +8,18 @@ a component the solvers' edges cost nothing, and ``resolve_component``
 optimizes it: a lone member without a zero-cost self-loop takes its
 best action directly, a cyclic component runs policy iteration whose
 evaluations are square systems with Fraction entries. Floating point is
-never acceptable there, so ``solve_linear_system`` does plain Gaussian
-elimination with partial (first-nonzero) pivoting on exact rationals.
-Systems stay small: one row per member of the component.
-``solve_integer_system`` solves integer systems with any number of
-right-hand sides without building a fraction: the chain solver's
-zero-cost closure uses it once per cyclic component.
+never acceptable there, and the package has one exact elimination:
+``solve_integer_system``, fraction-free Gauss-Jordan (Bareiss 1968) on
+integer systems with any number of right-hand sides. The chain solver's
+zero-cost closure calls it once per cyclic component; policy evaluation
+calls it through ``solve_linear_system``, which scales each rational row
+to integers. Systems stay small: one row per member of the component.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, MutableMapping
 
 from .errors import SingularMatrixError
@@ -148,8 +149,8 @@ def _evaluate_policy(
 ) -> None:
     index = {q: i for i, q in enumerate(members)}
     n = len(members)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
+    matrix = [[0] * n for _ in range(n)]
+    rhs = [0] * n
     for row, q in enumerate(members):
         matrix[row][row] += 1
         const, edges = options[q][policy[q]]
@@ -167,10 +168,12 @@ def _evaluate_policy(
 def solve_linear_system(
     matrix: list[list[Fraction]], rhs: list[Fraction]
 ) -> list[Fraction]:
-    """Solve ``matrix @ x = rhs`` exactly.
+    """Solve ``matrix @ x = rhs`` exactly with ``solve_integer_system``.
 
     Args:
-        matrix: square coefficient matrix; rows are copied, inputs untouched.
+        matrix: square matrix of Fractions or ints; inputs untouched. Each
+            row and its rhs entry are scaled to integers by the lcm of
+            their denominators.
         rhs: right-hand side of matching length.
 
     Returns:
@@ -179,37 +182,16 @@ def solve_linear_system(
     Raises:
         SingularMatrixError: if the matrix has no unique solution.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
+    if len(rhs) != len(matrix):
         raise ValueError("matrix must be square and match the rhs length")
-    rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor == 0:
-                continue
-            row = rows[r]
-            lead = rows[col]
-            row[col] = Fraction(0)
-            for c in range(col + 1, n + 1):
-                if lead[c]:
-                    row[c] -= factor * lead[c]
-
-    solution = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = rows[r][n]
-        row = rows[r]
-        for c in range(r + 1, n):
-            if row[c]:
-                acc -= row[c] * solution[c]
-        solution[r] = acc / row[r]
-    return solution
+    rows = []
+    column = []
+    for row, value in zip(matrix, rhs):
+        scale = lcm(value.denominator, *(entry.denominator for entry in row))
+        rows.append([entry.numerator * (scale // entry.denominator) for entry in row])
+        column.append([value.numerator * (scale // value.denominator)])
+    d, solution = solve_integer_system(rows, column)
+    return [Fraction(y, d) for (y,) in solution]
 
 
 def solve_integer_system(

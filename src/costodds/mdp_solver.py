@@ -33,6 +33,7 @@ from .errors import (
 from .formula import Formula, max_constant, normalize, parse
 from .linalg import resolve_component, strongly_connected
 from .model import CostChain, CostProcess, build_chain, build_process, require_valid
+from .rational import parse_cost
 
 __all__ = [
     "TOP",
@@ -285,7 +286,7 @@ def scheduler_from_json(data: object) -> Scheduler:
             key: SchedulerKey = (state, TOP)
         else:
             if isinstance(cost, str) and cost.isdigit():
-                cost = int(cost)
+                cost = parse_cost(cost, f"scheduler cost at {state!r}")
             if not isinstance(cost, int) or isinstance(cost, bool) or cost < 0:
                 raise ModelFormatError(f"cost must be a non-negative int or 'top': {row!r}")
             key = (state, cost)

@@ -166,8 +166,17 @@ class CostProcess:
             key: tuple(e.successor for e in entries)
             for key, entries in self.transitions.items()
         }
-        co_reach = _backward_reachable(self.states, self.enabled, support, self.target)
-        stranded = sorted(q for q in self.reachable if q not in co_reach)
+        successors = {
+            q: {s for a in self.enabled[q] for s in support[(q, a)]} for q in self.reachable
+        }
+        # Tarjan emits each component after all it reaches, so a component
+        # reaches the target if it holds it or has an edge into one that does.
+        reaching: set[str] = set()
+        for members, _ in strongly_connected((self.initial,), successors.__getitem__):
+            linked = any(not reaching.isdisjoint(successors[q]) for q in members)
+            if linked or self.target in members:
+                reaching.update(members)
+        stranded = sorted(self.reachable - reaching)
         if stranded:
             findings.append(
                 Finding(
@@ -330,28 +339,6 @@ def require_valid(process: CostProcess) -> None:
     report = validate(process)
     if not report.ok:
         raise NotValidatedError(report)
-
-
-def _backward_reachable(
-    states: tuple[str, ...],
-    enabled: Mapping[str, tuple[str, ...]],
-    support: Mapping[tuple[str, str], tuple[str, ...]],
-    target: str,
-) -> set[str]:
-    predecessors: dict[str, set[str]] = {q: set() for q in states}
-    for state in states:
-        for action in enabled[state]:
-            for succ in support[(state, action)]:
-                predecessors[succ].add(state)
-    seen = {target}
-    frontier = [target]
-    while frontier:
-        state = frontier.pop()
-        for pred in predecessors[state]:
-            if pred not in seen:
-                seen.add(pred)
-                frontier.append(pred)
-    return seen
 
 
 def _maximal_end_components(

@@ -38,8 +38,8 @@ def parse_rational(text: object, what: str = "rational") -> Fraction:
         raise ModelFormatError(
             f"{what} must match num or num/den in decimal digits, got {text!r}"
         )
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) is not None else 1
+    num = _decimal(match.group(1), what)
+    den = _decimal(match.group(2), what) if match.group(2) is not None else 1
     if den == 0:
         raise ModelFormatError(f"{what} has denominator zero: {text!r}")
     return Fraction(num, den)
@@ -61,7 +61,14 @@ def parse_cost(value: object, what: str = "cost") -> int:
             raise ModelFormatError(f"{what} must be non-negative, got {value}")
         return value
     if isinstance(value, str) and _COST_RE.match(value.strip()):
-        return int(value)
+        return _decimal(value, what)
     raise ModelFormatError(
         f"{what} must be a non-negative decimal integer, got {value!r}"
     )
+
+
+def _decimal(digits: str, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's cap on int <-> str digits
+        raise ModelFormatError(f"{what} has too many digits ({len(digits)})") from None

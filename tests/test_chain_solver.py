@@ -199,21 +199,62 @@ def test_criterion_four_chains_match_the_fraction_walk(monkeypatch):
             assert certificate.bookkeeping["H"] == reference.bookkeeping["H"]
 
 
-def test_integer_solves_match_fraction_solves():
+def determinant(matrix):
+    """Laplace expansion along the first row: slow, but shares nothing with Bareiss."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * a * determinant([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        for j, a in enumerate(matrix[0])
+        if a
+    )
+
+
+def test_exact_solves_satisfy_their_systems():
     rng = Random(35)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        matrix = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            matrix[i][i] += 20  # diagonally dominant, so nonsingular
-        rhs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(n)]
-        det, solution = solve_integer_system(matrix, rhs)
-        assert det > 0
-        for column in range(3):
-            expected = solve_linear_system(
-                [[Fraction(v) for v in row] for row in matrix],
-                [Fraction(row[column]) for row in rhs],
-            )
-            assert [Fraction(row[column], det) for row in solution] == expected
-    with pytest.raises(co.SingularMatrixError):
+    entries = (0, 0, 1, -2, 5, Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2**40 + 1))
+    outcomes = set()
+    for n in range(7):
+        for case in range(40):
+            matrix = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            rhs = [rng.choice(entries) for _ in range(n)]
+            if case % 2:
+                matrix = [[Fraction(a) for a in row] for row in matrix]
+                rhs = [Fraction(b) for b in rhs]
+            integers = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            integer_rhs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(n)]
+            if n:
+                # Column 0 must pivot on a later row.
+                matrix[0][0] = integers[0][0] = 0
+            singular = determinant(matrix) == 0
+            outcomes.add(singular)
+            if singular:
+                with pytest.raises(co.SingularMatrixError):
+                    solve_linear_system(matrix, rhs)
+            else:
+                x = solve_linear_system(matrix, rhs)
+                assert all(type(v) is Fraction for v in x)
+                assert [sum(a * v for a, v in zip(row, x)) for row in matrix] == rhs
+            if determinant(integers) == 0:
+                with pytest.raises(co.SingularMatrixError):
+                    solve_integer_system(integers, integer_rhs)
+                continue
+            d, ys = solve_integer_system(integers, integer_rhs)
+            assert d == abs(determinant(integers))
+            assert [
+                [sum(a * y[c] for a, y in zip(row, ys)) for c in range(3)] for row in integers
+            ] == [[d * b for b in row] for row in integer_rhs]
+    assert outcomes == {False, True}
+    with pytest.raises(co.SingularMatrixError, match="no pivot in column 1"):
+        solve_linear_system([[1, 2], [2, 4]], [1, 1])
+    with pytest.raises(co.SingularMatrixError, match="no pivot in column 1"):
         solve_integer_system([[1, 2], [2, 4]], [[1], [1]])
+    for solve, matrix, rhs in [
+        (solve_linear_system, [[1, 2]], [1]),
+        (solve_linear_system, [[1]], [1, 2]),
+        (solve_linear_system, [[1], [2]], [1, 2]),
+        (solve_integer_system, [[1, 2]], [[1]]),
+        (solve_integer_system, [[1]], [[1], [2]]),
+    ]:
+        with pytest.raises(ValueError, match="must be square"):
+            solve(matrix, rhs)

@@ -1,6 +1,7 @@
 """End-to-end command-line checks via main(argv)."""
 
 import json
+import sys
 
 import pytest
 
@@ -168,6 +169,14 @@ def test_quantile_finite_and_infinite(capsys, geometric_model):
     )
     assert code == 0
     assert json.loads(out) == {"budget": None}
+
+
+def test_answers_longer_than_the_digit_cap(capsys, geometric_model, digit_cap):
+    code, out, err = run(capsys, "solve", "--model", geometric_model, "--formula", "x=15000")
+    assert sys.get_int_max_str_digits() == digit_cap
+    assert (code, err) == (0, "")
+    sys.set_int_max_str_digits(0)  # to print the expected line; the fixture restores it
+    assert out == f"value 1/{2**15001}\n"
 
 
 def test_scheduler_emits_reusable_json(capsys, tmp_path, choice_model):

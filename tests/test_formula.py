@@ -46,9 +46,11 @@ def test_parse_and_normalize(text, spans):
         "!" * 5000 + "x<=1",
         "(" * 3000 + "x<=1" + ")" * 3000,
         " & ".join(["x<=5"] * 3000),
+        "x<=²",
+        "x<=" + "1" * 5000,
     ],
 )
-def test_syntax_errors(text):
+def test_syntax_errors(text, digit_cap):
     with pytest.raises(FormulaSyntaxError):
         co.parse(text)
 

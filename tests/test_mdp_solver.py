@@ -159,11 +159,12 @@ def test_scheduler_json_round_trip():
     assert dict(back.entries) == dict(result.scheduler.entries)
 
 
-def test_scheduler_from_json_rejects_malformed_rows():
+def test_scheduler_from_json_rejects_malformed_rows(digit_cap):
     with pytest.raises(ModelFormatError):
         co.scheduler_from_json({"state": "q1"})
-    with pytest.raises(ModelFormatError):
-        co.scheduler_from_json([{"state": "q1", "cost": "x", "action": "a"}])
+    for cost in ("x", "²", "1" * 5000):
+        with pytest.raises(ModelFormatError):
+            co.scheduler_from_json([{"state": "q1", "cost": cost, "action": "a"}])
     with pytest.raises(ModelFormatError):
         co.scheduler_from_json([{"state": "q1", "cost": "1"}])
 

@@ -76,6 +76,67 @@ def test_unreachable_target_finding():
     assert stranded.subject == ("q1",)
 
 
+def stranded(*states):
+    return co.Finding(
+        "unreachable-target", states, "these reachable states have no path to the target"
+    )
+
+
+def bad_mec(*states):
+    return co.Finding(
+        "bad-mec", states, "end component other than the target singleton is reachable"
+    )
+
+
+@pytest.mark.parametrize(
+    "process, violations",
+    [
+        # The stranded states form a cycle, met at s1 before s0.
+        (
+            co.build_chain(
+                [
+                    ("q0", "t", 1, HALF),
+                    ("q0", "s1", 1, HALF),
+                    ("s1", "s0", 0, ONE),
+                    ("s0", "s1", 1, ONE),
+                ],
+                "q0",
+                "t",
+            ),
+            (stranded("s0", "s1"), bad_mec("s0", "s1")),
+        ),
+        # {q0, q1} reaches the target only through {r0, r1}; q1 can also
+        # move to s0, which never leaves.
+        (
+            co.build_process(
+                [
+                    ("q0", "a", "q1", 1, ONE),
+                    ("q1", "a", "q0", 0, HALF),
+                    ("q1", "a", "r0", 1, HALF),
+                    ("q1", "b", "s0", 0, ONE),
+                    ("s0", "a", "s0", 1, ONE),
+                    ("r0", "a", "r1", 0, ONE),
+                    ("r1", "a", "r0", 1, HALF),
+                    ("r1", "a", "t", 0, HALF),
+                ],
+                "q0",
+                "t",
+            ),
+            (stranded("s0"), bad_mec("s0")),
+        ),
+        # The initial state cannot reach the target at all.
+        (
+            co.build_chain([("q0", "q1", 1, ONE), ("q1", "q0", 0, ONE)], "q0", "t"),
+            (stranded("q0", "q1"), bad_mec("q0", "q1")),
+        ),
+        # Runs start at the target, so the looping q0 is never reached.
+        (co.build_chain([("q0", "q0", 1, ONE)], "t", "t", ["q0", "t"]), ()),
+    ],
+)
+def test_stranded_states(process, violations):
+    assert co.validate(process).violations == violations
+
+
 def test_bad_mec_finding_without_stranding():
     # Action "stay" keeps q1 inside {q1}, yet "leave" still reaches t,
     # so the only finding is the end component itself.
@@ -165,9 +226,25 @@ def test_json_round_trip_random_processes():
                 {"from": "q0", "to": "t", "cost": "3", "prob": "1/2"},
             ],
         },
+        *(
+            {
+                "states": ["q0", "t"],
+                "initial": "q0",
+                "target": "t",
+                "transitions": [
+                    {"from": "q0", "to": "t", "cost": "0", "prob": "1", **row}
+                ],
+            }
+            for row in (
+                {"cost": "1" * 5000},
+                {"utility": "1" * 5000},
+                {"prob": "1" * 5000 + "/3"},
+                {"prob": "1/" + "1" * 5000},
+            )
+        ),
     ],
 )
-def test_model_from_json_rejects_malformed_documents(doc):
+def test_model_from_json_rejects_malformed_documents(doc, digit_cap):
     with pytest.raises(ModelFormatError):
         co.model_from_json(doc)
 
