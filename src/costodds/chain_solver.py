@@ -41,7 +41,7 @@ from .formula import Formula, max_constant, normalize
 from .linalg import solve_integer_system, strongly_connected
 from .model import CostChain, is_chain, require_valid
 
-__all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain", "tail_probability"]
+__all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain"]
 
 # Per state: (successor, cost, weight) rows, weight = prob·D.
 _Rows = dict[str, tuple[tuple[str, int, int], ...]]
@@ -101,11 +101,6 @@ def solve_chain(chain: CostChain, formula: Formula) -> Fraction:
     if budget + 1 in accept:
         cells.append(overflow)
     return Fraction(*_total(cells))
-
-
-def tail_probability(chain: CostChain, budget: int) -> Fraction:
-    """P(K > budget): the overflow of ``cost_distribution`` alone."""
-    return Fraction(*_walk(chain, budget)[1])
 
 
 def _walk(

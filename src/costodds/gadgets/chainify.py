@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ..chain_solver import tail_probability
+from ..chain_solver import solve_chain
 from ..errors import PreconditionError
-from ..formula import Formula, parse
+from ..formula import Atom, Formula, Not, parse
 from ..model import CostChain, build_chain, is_acyclic
 from ..quantile import ln_upper, tail_budget
 from .circuits import ArithmeticCircuit, check_circuit, lift_gate
@@ -286,6 +286,6 @@ def _tail_offset(certificate: GadgetCertificate, target: int, scale: int) -> int
         degree = certificate.bookkeeping["d"]
         log_bound = exp2 * ln_upper(Fraction(2)) + expd * ln_upper(Fraction(degree)) + 1
         offset = max(offset, tail_budget(chain, log_bound))
-    while tail_probability(chain, offset) >= Fraction(1, scale):
+    while solve_chain(chain, Not(Atom(offset))) >= Fraction(1, scale):
         offset *= 2
     return offset

@@ -52,14 +52,6 @@ class ArithmeticCircuit:
     def by_id(self) -> Mapping[str, Gate]:
         return {gate.id: gate for gate in self.gates}
 
-    @cached_property
-    def levels(self) -> Mapping[int, tuple[str, ...]]:
-        """Gate ids grouped by level, preserving declaration order."""
-        grouped: dict[int, list[str]] = {}
-        for gate in self.gates:
-            grouped.setdefault(gate.level, []).append(gate.id)
-        return {level: tuple(ids) for level, ids in grouped.items()}
-
     def gate(self, gate_id: str) -> Gate:
         try:
             return self.by_id[gate_id]

@@ -305,8 +305,6 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     require_valid(process)
     accept = normalize(formula)
     budget = max_constant(formula)
-    if process.initial == process.target:
-        return SolveResult(Fraction(0 in accept), Scheduler(budget, {}), mode)
     target = process.target
     enabled = process.enabled
     transitions = process.transitions

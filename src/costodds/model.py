@@ -166,14 +166,16 @@ class CostProcess:
             key: tuple(e.successor for e in entries)
             for key, entries in self.transitions.items()
         }
-        successors = {
-            q: {s for a in self.enabled[q] for s in support[(q, a)]} for q in self.reachable
-        }
+        edges = {q: _edges(q, self.enabled[q], support) for q in self.reachable}
+        components = [
+            members
+            for members, _ in strongly_connected(sorted(self.reachable), edges.__getitem__)
+        ]
         # Tarjan emits each component after all it reaches, so a component
         # reaches the target if it holds it or has an edge into one that does.
         reaching: set[str] = set()
-        for members, _ in strongly_connected((self.initial,), successors.__getitem__):
-            linked = any(not reaching.isdisjoint(successors[q]) for q in members)
+        for members in components:
+            linked = any(not reaching.isdisjoint(edges[q]) for q in members)
             if linked or self.target in members:
                 reaching.update(members)
         stranded = sorted(self.reachable - reaching)
@@ -186,9 +188,7 @@ class CostProcess:
                 )
             )
 
-        for component in _maximal_end_components(
-            sorted(self.reachable), self.enabled, support
-        ):
+        for component in _maximal_end_components(components, self.enabled, support):
             if component != frozenset((self.target,)):
                 findings.append(
                     Finding(
@@ -342,58 +342,52 @@ def require_valid(process: CostProcess) -> None:
 
 
 def _maximal_end_components(
-    states: Iterable[str],
+    components: list[list[str]],
     enabled: Mapping[str, tuple[str, ...]],
     support: Mapping[tuple[str, str], tuple[str, ...]],
 ) -> list[frozenset[str]]:
     """Standard iterative SCC-refinement MEC decomposition.
 
-    A candidate set shrinks by (1) dropping actions whose support leaves
-    the set, (2) dropping states left with no action, then (3) splitting
-    into strongly connected components; a candidate that survives intact
-    and is strongly connected is a MEC.
+    ``components`` are the strongly connected components of a state set
+    closed under every action, as ``_edges`` links it: the first split.
+    A split into one component is a MEC, and so is a single state with a
+    self-loop action. Every other component of two or more states is a
+    candidate: it shrinks by (1) dropping actions whose support leaves
+    it, (2) dropping states left with no action, then (3) splits again.
     """
     mecs: list[frozenset[str]] = []
-    work: list[frozenset[str]] = [frozenset(states)]
+    work = [components]
     while work:
-        component = work.pop()
-        current = set(component)
-        while True:
-            kept_actions = {
-                q: [
-                    a
-                    for a in enabled[q]
-                    if all(s in current for s in support[(q, a)])
-                ]
-                for q in current
-            }
-            doomed = [q for q, acts in kept_actions.items() if not acts]
-            if not doomed:
-                break
-            current.difference_update(doomed)
-        if not current:
-            continue
-        edges = {
-            q: sorted(
-                {s for a in kept_actions[q] for s in support[(q, a)] if s != q}
-            )
-            for q in current
-        }
-        sccs = [scc for scc, _ in strongly_connected(sorted(current), edges.__getitem__)]
-        if len(sccs) == 1 and len(sccs[0]) == len(current):
-            mecs.append(frozenset(current))
-        else:
-            for scc in sccs:
-                # Single states need a self-loop action to stay candidates.
-                if len(scc) == 1:
-                    (q,) = scc
-                    if any(
-                        all(s == q for s in support[(q, a)]) for a in enabled[q]
-                    ):
-                        mecs.append(frozenset(scc))
-                else:
-                    work.append(frozenset(scc))
+        split = work.pop()
+        for scc in split:
+            if len(scc) == 1:
+                (q,) = scc
+                if any(all(s == q for s in support[(q, a)]) for a in enabled[q]):
+                    mecs.append(frozenset(scc))
+            elif len(split) == 1:
+                mecs.append(frozenset(scc))
+            else:
+                current = set(scc)
+                while True:
+                    kept = {
+                        q: [a for a in enabled[q] if all(s in current for s in support[(q, a)])]
+                        for q in current
+                    }
+                    doomed = [q for q, acts in kept.items() if not acts]
+                    if not doomed:
+                        break
+                    current.difference_update(doomed)
+                edges = {q: _edges(q, kept[q], support) for q in current}
+                children = strongly_connected(sorted(current), edges.__getitem__)
+                work.append([members for members, _ in children])
     return mecs
+
+
+def _edges(
+    state: str, actions: Iterable[str], support: Mapping[tuple[str, str], tuple[str, ...]]
+) -> list[str]:
+    """The sorted successors of a state under the given actions, without itself."""
+    return sorted({s for a in actions for s in support[(state, a)] if s != state})
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything the suite compares solver output against lives here and
 deliberately avoids the package's own algorithms: truncated
 distributions come from product-space state elimination, optimal values
-from exhaustive enumeration of scheduler assignments, path counts and
+from exhaustive enumeration of scheduler assignments, witness checks
+from a separate Fraction elimination plus one Bellman step, path counts and
 game verdicts from direct recursion over the instance, Monte Carlo
 streams from a plain per-draw bit stream and step loop, and the chain
 solver's counters from its earlier Fraction level walk.
@@ -381,6 +382,102 @@ def optimal_value_oracle(
         best = value if best is None else pick(best, value)
     assert best is not None
     return best
+
+
+# ---------------------------------------------------------------------------
+# Witness checker: the scheduler's own value, then one Bellman step
+
+
+def check_optimal(
+    process: co.CostProcess, formula: co.CostFormula, result: co.SolveResult
+) -> None:
+    """Assert that ``result`` is an optimal value with its canonical witness.
+
+    The scheduler is evaluated exactly on every (state, saturated cost)
+    pair reachable under any actions, by elimination over Fractions.
+    Since every scheduler reaches the target almost surely, the Bellman
+    equation has one fixpoint, the optimum; so the scheduler is optimal
+    iff its values satisfy the equation at every pair. Each entry must
+    also be the lowest-index action attaining the optimum, and entries
+    must cover exactly the reachable pairs with a choice.
+    """
+    budget = co.max_constant(formula)
+    scheduler = result.scheduler
+    assert scheduler.budget == budget
+    pick = {"max": max, "min": min}[result.mode]
+    verdict = {c: Fraction(co.satisfies(c, formula)) for c in range(budget + 2)}
+
+    def outcomes(state, cost, action):
+        # (prob, successor pair, None), or (prob, None, verdict) on arrival.
+        for succ, step_cost, prob, _ in process.transitions[(state, action)]:
+            total = budget + 1 if cost == co.TOP else min(cost + step_cost, budget + 1)
+            if succ == process.target:
+                yield prob, None, verdict[total]
+            else:
+                yield prob, (succ, co.TOP if total > budget else total), None
+
+    pairs = [(process.initial, 0)]
+    seen = set(pairs)
+    for state, cost in pairs:
+        for action in process.enabled[state]:
+            for _, pair, _ in outcomes(state, cost, action):
+                if pair is not None and pair not in seen:
+                    seen.add(pair)
+                    pairs.append(pair)
+    choosing = {pair for pair in pairs if len(process.enabled[pair[0]]) > 1}
+    assert set(scheduler.entries) == choosing
+
+    def chosen(pair):
+        acts = process.enabled[pair[0]]
+        return acts[0] if len(acts) == 1 else scheduler.entries[pair]
+
+    # x_p = Σ c·x_u + constant per pair under the scheduler. I − P is a
+    # nonsingular M-matrix, so elimination in any order meets no zero
+    # pivot; the highest costs go first, since edges never lower the cost.
+    rows = {}
+    for pair in pairs:
+        coefficients: dict = {}
+        constant = Fraction(0)
+        for prob, succ, value in outcomes(*pair, chosen(pair)):
+            if succ is None:
+                constant += prob * value
+            else:
+                coefficients[succ] = coefficients.get(succ, 0) + prob
+        rows[pair] = [coefficients, constant]
+    order = sorted(pairs, key=lambda p: budget + 1 if p[1] == co.TOP else p[1], reverse=True)
+    definitions = []
+    for pair in order:
+        coefficients, constant = rows.pop(pair)
+        scale = 1 / (1 - Fraction(coefficients.pop(pair, 0)))
+        coefficients = {u: c * scale for u, c in coefficients.items()}
+        constant *= scale
+        for row in rows.values():
+            c = row[0].pop(pair, None)
+            if c is not None:
+                for u, d in coefficients.items():
+                    row[0][u] = row[0].get(u, 0) + c * d
+                row[1] += c * constant
+        definitions.append((pair, coefficients, constant))
+    values = {}
+    for pair, coefficients, constant in reversed(definitions):
+        values[pair] = constant + sum(c * values[u] for u, c in coefficients.items())
+
+    assert result.value == values[(process.initial, 0)]
+    for pair in pairs:
+        acts = process.enabled[pair[0]]
+        options = [
+            sum(
+                (
+                    prob * (value if succ is None else values[succ])
+                    for prob, succ, value in outcomes(*pair, action)
+                ),
+                Fraction(0),
+            )
+            for action in acts
+        ]
+        best = pick(options)
+        assert values[pair] == best, f"Bellman equation fails at {pair}"
+        assert chosen(pair) == acts[options.index(best)], f"not the lowest optimal index at {pair}"
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from costodds.gadgets import (
     universal_qsubsetsum_to_process,
 )
 from helpers import (
+    check_optimal,
     choice_example,
     fixed_circuit_corpus,
     geometric_chain,
@@ -204,12 +205,10 @@ def test_criterion_10_scheduler_enumeration(capsys):
     for _ in range(200):
         process = random_branching_process(rng)
         formula = random_formula(rng)
-        assert co.solve_max(process, formula).value == optimal_value_oracle(
-            process, formula, "max"
-        )
-        assert co.solve_min(process, formula).value == optimal_value_oracle(
-            process, formula, "min"
-        )
+        for solver, mode in ((co.solve_max, "max"), (co.solve_min, "min")):
+            result = solver(process, formula)
+            assert result.value == optimal_value_oracle(process, formula, mode)
+            check_optimal(process, formula, result)
     finish(capsys, "criterion-10", start, 120.0)
 
 

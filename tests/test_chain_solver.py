@@ -12,7 +12,6 @@ import pytest
 
 import costodds as co
 from costodds import NotAChainError, NotValidatedError
-from costodds.chain_solver import tail_probability
 from costodds.gadgets import chainify, posslp_instance
 from costodds.linalg import solve_integer_system, solve_linear_system
 
@@ -169,7 +168,7 @@ def test_integer_walk_matches_the_fraction_walk():
         for budget in (0, rng.randint(1, 39), 40):
             dist = co.cost_distribution(chain, budget)
             assert_same_walk(dist, reference_cost_distribution(chain, budget))
-            assert tail_probability(chain, budget) == dist.overflow
+            assert co.solve_chain(chain, co.Not(co.Atom(budget))) == dist.overflow
             solves += dist.stats["linear_solves"]
     assert solves > 400
 
@@ -183,8 +182,12 @@ def test_fixed_chains_match_the_fraction_walk():
 
 
 def test_criterion_four_chains_match_the_fraction_walk(monkeypatch):
-    def reference_tail(chain, budget):
-        return reference_cost_distribution(chain, budget).overflow
+    def reference_solve(chain, formula):
+        budget = co.max_constant(formula)
+        dist = reference_cost_distribution(chain, budget)
+        accepted = (p for cost, p in dist.mass.items() if co.satisfies(cost, formula))
+        value = sum(accepted, Fraction(0))
+        return value + dist.overflow if co.satisfies(budget + 1, formula) else value
 
     for circuit, gates in posslp_corpus():
         for first, second in product(gates, repeat=2):
@@ -194,7 +197,7 @@ def test_criterion_four_chains_match_the_fraction_walk(monkeypatch):
                 co.cost_distribution(chain, budget), reference_cost_distribution(chain, budget)
             )
             with monkeypatch.context() as patch:
-                patch.setattr(chainify, "tail_probability", reference_tail)
+                patch.setattr(chainify, "solve_chain", reference_solve)
                 _, _, reference = posslp_instance(circuit, first, second)
             assert certificate.bookkeeping["H"] == reference.bookkeeping["H"]
 

@@ -34,7 +34,6 @@ def square_tower():
 def test_levels_are_derived_in_order():
     circuit = square_tower()
     assert [g.level for g in circuit.gates] == [0, 0, 1, 2, 3]
-    assert circuit.levels[1] == ("x",)
     assert circuit.gate("y").inputs == ("x", "x")
 
 

@@ -16,10 +16,12 @@ from costodds import (
     SchedulerGapError,
     ThresholdRangeError,
 )
+from costodds.linalg import strongly_connected
 
 from helpers import (
     HALF,
     ONE,
+    check_optimal,
     choice_example,
     choice_points,
     chain_value_oracle,
@@ -27,6 +29,7 @@ from helpers import (
     random_branching_process,
     random_chain,
     random_formula,
+    random_process,
     two_cycle_process,
     two_flip_chain,
 )
@@ -228,11 +231,55 @@ def test_witness_schedulers_attain_the_reported_value():
             assert co.solve_chain(induced, formula) == result.value
 
 
+def test_witnesses_pass_the_checker_on_zero_cost_cycles():
+    def has_zero_cost_cycle(process):
+        def free_successors(state):
+            return [
+                e.successor
+                for a in process.enabled[state]
+                for e in process.transitions[(state, a)]
+                if e.cost == 0 and e.successor != process.target
+            ]
+
+        return any(cyclic for _, cyclic in strongly_connected(process.states, free_successors))
+
+    rng = Random(35)
+    checked = 0
+    while checked < 300:
+        process = random_process(rng)
+        if not has_zero_cost_cycle(process):
+            continue
+        formula = random_formula(rng)
+        for solver in (co.solve_max, co.solve_min):
+            check_optimal(process, formula, solver(process, formula))
+        checked += 1
+    process = two_cycle_process()
+    for formula in map(co.parse, ("x<=0", "x<=2", "x>=3 & x<=5")):
+        for solver in (co.solve_max, co.solve_min):
+            check_optimal(process, formula, solver(process, formula))
+
+
 def test_constant_formulas_solve_to_zero_or_one():
     process = choice_example()
     assert co.solve_max(process, co.parse("x>=0")).value == 1
     assert co.solve_min(process, co.parse("x>=0")).value == 1
     assert co.solve_max(process, co.parse("x<=3 & x>=5")).value == 0
+
+
+@pytest.mark.parametrize("text, value", [("x<=0", 1), ("x>=1", 0), ("x=0", 1), ("x<=3", 1)])
+def test_runs_that_start_at_the_target(text, value):
+    # q1's choice is never reached: the value is the verdict at cost 0
+    # and the scheduler is empty up to the formula's budget.
+    base = choice_example()
+    process = co.CostProcess(base.states, "t", "t", base.enabled, base.transitions)
+    formula = co.parse(text)
+    for solver, mode in ((co.solve_max, "max"), (co.solve_min, "min")):
+        result = solver(process, formula)
+        assert result == co.SolveResult(
+            Fraction(value), Scheduler(co.max_constant(formula), {}), mode
+        )
+        assert type(result.value) is Fraction
+        check_optimal(process, formula, result)
 
 
 def test_saturated_choices_use_the_top_entry():

@@ -131,6 +131,43 @@ def bad_mec(*states):
         ),
         # Runs start at the target, so the looping q0 is never reached.
         (co.build_chain([("q0", "q0", 1, ONE)], "t", "t", ["q0", "t"]), ()),
+        # End components found at different refinement depths: {s} in the
+        # first split, {d1, d2} and {a1, a2} one round later (once a1's
+        # exit is dropped), {b1, b2} two rounds later (once b1's mixed
+        # action no longer ties b3 in). The order is the decomposition's.
+        (
+            co.build_process(
+                [
+                    ("q0", "a", "s", 1, HALF),
+                    ("q0", "a", "a1", 1, HALF),
+                    ("q0", "b", "b1", 0, HALF),
+                    ("q0", "b", "d1", 1, HALF),
+                    ("s", "stay", "s", 1, ONE),
+                    ("s", "go", "t", 0, ONE),
+                    ("a1", "a", "a2", 0, ONE),
+                    ("a1", "b", "t", 1, ONE),
+                    ("a2", "a", "a1", 1, ONE),
+                    ("b1", "a", "b2", 0, ONE),
+                    ("b1", "b", "b3", 1, HALF),
+                    ("b1", "b", "t", 1, HALF),
+                    ("b2", "a", "b1", 0, ONE),
+                    ("b3", "a", "b1", 2, ONE),
+                    ("b3", "b", "t", 0, ONE),
+                    ("d1", "a", "d2", 1, ONE),
+                    ("d2", "a", "d1", 0, ONE),
+                    ("d2", "b", "d2", 0, ONE),
+                ],
+                "q0",
+                "t",
+            ),
+            (
+                stranded("d1", "d2"),
+                bad_mec("s"),
+                bad_mec("d1", "d2"),
+                bad_mec("b1", "b2"),
+                bad_mec("a1", "a2"),
+            ),
+        ),
     ],
 )
 def test_stranded_states(process, violations):
