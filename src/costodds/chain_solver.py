@@ -13,7 +13,7 @@ rows with weight = prob·D; and the zero-cost closure N = (I − Z)^-1 of
 the zero-cost subgraph Z, as int rows over one common denominator E, for
 the states that have zero-cost edges. The closure takes one pass of
 ``linalg.strongly_connected`` and one fraction-free solve
-(``linalg.solve_integer_system``) per cyclic zero-cost component.
+(``linalg.solve_linear_system``) per cyclic zero-cost component.
 
 The walk then visits cost levels in increasing order. Costs never
 decrease along a run, so mass flows from a level only to strictly higher
@@ -38,7 +38,7 @@ from typing import Mapping
 
 from .errors import NotAChainError
 from .formula import Formula, max_constant, normalize
-from .linalg import solve_integer_system, strongly_connected
+from .linalg import solve_linear_system, strongly_connected
 from .model import CostChain, is_chain, require_valid
 
 __all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain"]
@@ -259,7 +259,7 @@ def _closure(zero: dict[str, list[tuple[str, int]]], scale: int) -> tuple[int, _
                 factor = w * (lcm_out // den)
                 for r, c in entries.items():
                     rhs[i][columns[r]] += factor * c
-        det, solution = solve_integer_system(matrix, rhs) if cyclic else (scale, rhs)
+        det, solution = solve_linear_system(matrix, rhs) if cyclic else (scale, rhs)
         looped = cyclic or any(flag for _, _, flag in outside.values())
         for q, values in zip(members, solution):
             g = math.gcd(det * lcm_out, *values)

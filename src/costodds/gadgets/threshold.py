@@ -52,7 +52,7 @@ def threshold_to_half(
             (fresh, "a", process.initial, 0, bias),
         ]
     entries = head + [
-        (state, action, entry.successor, entry.cost, entry.prob)
+        (state, action, entry.successor, entry.cost, entry.prob, entry.utility)
         for state in process.states
         if state != process.target
         for action in process.enabled[state]

@@ -7,13 +7,13 @@ every value the component reads from outside is already fixed. Inside
 a component the solvers' edges cost nothing, and ``resolve_component``
 optimizes it: a lone member without a zero-cost self-loop takes its
 best action directly, a cyclic component runs policy iteration whose
-evaluations are square systems with Fraction entries. Floating point is
-never acceptable there, and the package has one exact elimination:
-``solve_integer_system``, fraction-free Gauss-Jordan (Bareiss 1968) on
+evaluations are square linear systems. Floating point is never
+acceptable there, and the package has one exact solve:
+``solve_linear_system``, fraction-free Gauss-Jordan (Bareiss 1968) on
 integer systems with any number of right-hand sides. The chain solver's
 zero-cost closure calls it once per cyclic component; policy evaluation
-calls it through ``solve_linear_system``, which scales each rational row
-to integers. Systems stay small: one row per member of the component.
+scales each of its rational rows to integers and calls it with one
+column. Systems stay small: one row per member of the component.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, MutableMapping
 
 from .errors import SingularMatrixError
 
-__all__ = [
-    "resolve_component",
-    "solve_integer_system",
-    "solve_linear_system",
-    "strongly_connected",
-]
+__all__ = ["resolve_component", "solve_linear_system", "strongly_connected"]
 
 
 def strongly_connected(
@@ -89,7 +84,7 @@ def resolve_component(
     options: Mapping,
     values: MutableMapping,
     mode: str,
-) -> tuple[list[int], bool]:
+) -> list[int]:
     """Optimize one strongly connected component whose internal edges cost zero.
 
     Args:
@@ -103,8 +98,7 @@ def resolve_component(
         mode: "max" or "min".
 
     Returns:
-        (choices, solved): per member, the index of its lowest-index
-        optimal action, and whether an exact linear solve was needed.
+        Per member, the index of its lowest-index optimal action.
 
     An acyclic component is one member, which takes its best action. A
     cyclic one runs policy iteration from the all-first-action policy;
@@ -114,7 +108,7 @@ def resolve_component(
     if not cyclic:
         q = members[0]
         values[q], choice = _best(options[q], values, mode)
-        return [choice], False
+        return [choice]
 
     choosing = [q for q in members if len(options[q]) > 1]
     policy = dict.fromkeys(members, 0)
@@ -128,7 +122,7 @@ def resolve_component(
             # a strict improvement.
             if best != values[q]:
                 policy[q], improved = index, True
-    return [_best(options[q], values, mode)[1] for q in members], True
+    return [_best(options[q], values, mode)[1] for q in members]
 
 
 def _best(per_action: list, values: Mapping, mode: str) -> tuple[Fraction, int]:
@@ -148,53 +142,28 @@ def _evaluate_policy(
     members: list, options: Mapping, policy: Mapping, values: MutableMapping
 ) -> None:
     index = {q: i for i, q in enumerate(members)}
-    n = len(members)
-    matrix = [[0] * n for _ in range(n)]
-    rhs = [0] * n
-    for row, q in enumerate(members):
-        matrix[row][row] += 1
+    matrix = []
+    rhs = []
+    for i, q in enumerate(members):
+        row = [0] * len(members)
+        row[i] = 1
         const, edges = options[q][policy[q]]
         for succ, weight in edges:
             column = index.get(succ)
             if column is None:
                 const += weight * values[succ]
             else:
-                matrix[row][column] -= weight
-        rhs[row] = const
-    for q, value in zip(members, solve_linear_system(matrix, rhs)):
-        values[q] = value
+                row[column] -= weight
+        # Scale the row and its rhs entry to ints by their denominators' lcm.
+        scale = lcm(const.denominator, *(entry.denominator for entry in row))
+        matrix.append([entry.numerator * (scale // entry.denominator) for entry in row])
+        rhs.append([const.numerator * (scale // const.denominator)])
+    d, solution = solve_linear_system(matrix, rhs)
+    for q, (y,) in zip(members, solution):
+        values[q] = Fraction(y, d)
 
 
 def solve_linear_system(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Solve ``matrix @ x = rhs`` exactly with ``solve_integer_system``.
-
-    Args:
-        matrix: square matrix of Fractions or ints; inputs untouched. Each
-            row and its rhs entry are scaled to integers by the lcm of
-            their denominators.
-        rhs: right-hand side of matching length.
-
-    Returns:
-        The unique solution vector.
-
-    Raises:
-        SingularMatrixError: if the matrix has no unique solution.
-    """
-    if len(rhs) != len(matrix):
-        raise ValueError("matrix must be square and match the rhs length")
-    rows = []
-    column = []
-    for row, value in zip(matrix, rhs):
-        scale = lcm(value.denominator, *(entry.denominator for entry in row))
-        rows.append([entry.numerator * (scale // entry.denominator) for entry in row])
-        column.append([value.numerator * (scale // value.denominator)])
-    d, solution = solve_integer_system(rows, column)
-    return [Fraction(y, d) for (y,) in solution]
-
-
-def solve_integer_system(
     matrix: list[list[int]], rhs: list[list[int]]
 ) -> tuple[int, list[list[int]]]:
     """Solve ``matrix @ X = rhs`` over the integers, with no fractions.

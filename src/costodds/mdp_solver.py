@@ -352,7 +352,7 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
                 if len(enabled[pair[0]]) > 1:
                     entries[pair] = enabled[pair[0]][0]
             continue
-        choices, _ = resolve_component(component, cyclic, options, value, mode)
+        choices = resolve_component(component, cyclic, options, value, mode)
         for pair, choice in zip(component, choices):
             del options[pair]
             if len(enabled[pair[0]]) > 1:

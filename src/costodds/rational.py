@@ -10,6 +10,7 @@ inexact value can enter an exact computation path.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ModelFormatError
@@ -48,8 +49,17 @@ def parse_rational(text: object, what: str = "rational") -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a Fraction canonically: ``"3/4"``, integers as ``"1"``."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """``str(n)``, or past CPython's int-to-str digit cap, which a long exact
+    answer can exceed, ``str(Decimal(n))``: exact for ints and not capped."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def parse_cost(value: object, what: str = "cost") -> int:

@@ -296,12 +296,13 @@ def _zero_level_visits(
     zero = Fraction(0)
     options = {q: ((inflow.get(q, zero), predecessors.get(q, ())),) for q in relevant}
     visits: dict[str, Fraction] = {}
-    components = strongly_connected(relevant, lambda q: [p for p, _ in predecessors.get(q, ())])
-    solved = [
-        resolve_component(members, cyclic, options, visits, "max")[1]
-        for members, cyclic in components
-    ]
-    stats["linear_solves"] += any(solved)
+    solved = False
+    for members, cyclic in strongly_connected(
+        relevant, lambda q: [p for p, _ in predecessors.get(q, ())]
+    ):
+        resolve_component(members, cyclic, options, visits, "max")
+        solved = solved or cyclic
+    stats["linear_solves"] += solved
     return visits
 
 
@@ -576,19 +577,40 @@ def mixed_denominator_chain(rng: Random, max_states: int = 5) -> co.CostChain:
     cycles make the walk meet those cycles at many cost levels.
     """
     names = [f"s{i}" for i in range(rng.randint(1, max_states))] + ["t"]
-    n = len(names) - 1
-    entries = []
-    for i, state in enumerate(names[:-1]):
-        first = rng.choice((HALF, Fraction(1, 3), Fraction(2, 7), WIDE_PROB))
-        entries.append((state, names[rng.randint(i + 1, n)], rng.randint(0, 3), first))
-        rest = 1 - first
-        loop = rest * rng.choice((0, 0, Fraction(1, 3), Fraction(2, 7)))
-        if loop:
-            entries.append((state, state, 0, loop))
-        entries.append((state, names[rng.randrange(n + 1)], rng.choice((0, 0, 1, 2)), rest - loop))
+    entries = [
+        (names[i], *edge) for i in range(len(names) - 1) for edge in _mixed_edges(rng, names, i)
+    ]
     chain = co.build_chain(entries, "s0", "t")
     assert co.validate(chain).ok
     return chain
+
+
+def mixed_denominator_process(rng: Random, max_states: int = 4) -> co.CostProcess:
+    """A validated process with one or two actions per state, each action's
+    edges drawn as in ``mixed_denominator_chain``."""
+    names = [f"s{i}" for i in range(rng.randint(1, max_states))] + ["t"]
+    entries = [
+        (names[i], action, *edge)
+        for i in range(len(names) - 1)
+        for action in ("a", "b")[: rng.choice((1, 2))]
+        for edge in _mixed_edges(rng, names, i)
+    ]
+    process = co.build_process(entries, "s0", "t")
+    assert co.validate(process).ok
+    return process
+
+
+def _mixed_edges(rng: Random, names: list[str], i: int) -> list[tuple[str, int, Fraction]]:
+    """(successor, cost, prob) edges out of ``names[i]``; the last name is the target."""
+    n = len(names) - 1
+    first = rng.choice((HALF, Fraction(1, 3), Fraction(2, 7), WIDE_PROB))
+    edges = [(names[rng.randint(i + 1, n)], rng.randint(0, 3), first)]
+    rest = 1 - first
+    loop = rest * rng.choice((0, 0, Fraction(1, 3), Fraction(2, 7)))
+    if loop:
+        edges.append((names[i], 0, loop))
+    edges.append((names[rng.randrange(n + 1)], rng.choice((0, 0, 1, 2)), rest - loop))
+    return edges
 
 
 def random_process(

@@ -120,8 +120,10 @@ def test_criterion_05_existential_subset_sum(capsys):
             assert total > len(weights) * max(weights)
             assert expected is False
             continue
-        verdict = co.decide(process, co.parse(f"x<={budget}"), tau, "exists")[0]
-        assert verdict is expected, (weights, total)
+        formula = co.parse(f"x<={budget}")
+        result = co.solve_max(process, formula)
+        check_optimal(process, formula, result)
+        assert (result.value >= tau) is expected, (weights, total)
     finish(capsys, "criterion-5", start, 120.0)
 
 
@@ -136,8 +138,10 @@ def test_criterion_06_universal_subset_sum(capsys):
             assert total > len(weights) * max(weights)
             assert expected is False
             continue
-        verdict = co.solve_min(process, co.parse(f"x<={budget - 1}")).value < tau
-        assert verdict is expected, (weights, total)
+        formula = co.parse(f"x<={budget - 1}")
+        result = co.solve_min(process, formula)
+        check_optimal(process, formula, result)
+        assert (result.value < tau) is expected, (weights, total)
     finish(capsys, "criterion-6", start, 120.0)
 
 
@@ -147,8 +151,10 @@ def test_criterion_07_countdown_games(capsys):
     for _ in range(500):
         game = random_countdown(rng, max_states=3, max_total=12)
         process, total = countdown_to_process(game)
-        verdict = co.decide_qualitative(process, total)[0]
-        assert verdict is countdown_brute(game), game
+        formula = co.parse(f"x={total}")
+        result = co.solve_max(process, formula)
+        check_optimal(process, formula, result)
+        assert (result.value == 1) is countdown_brute(game), game
     finish(capsys, "criterion-7", start, 120.0)
 
 
@@ -160,7 +166,10 @@ def test_criterion_08_budget_bound_soundness(capsys):
         process = random_process(rng, max_states=5)
         for tau in taus:
             bound = co.budget_upper_bound(process, tau).B_bound
-            assert co.solve_min(process, co.parse(f"x<={bound}")).value >= tau
+            formula = co.parse(f"x<={bound}")
+            result = co.solve_min(process, formula)
+            check_optimal(process, formula, result)
+            assert result.value >= tau
     finish(capsys, "criterion-8", start, 60.0)
 
 

@@ -13,7 +13,7 @@ import pytest
 import costodds as co
 from costodds import NotAChainError, NotValidatedError
 from costodds.gadgets import chainify, posslp_instance
-from costodds.linalg import solve_integer_system, solve_linear_system
+from costodds.linalg import solve_linear_system
 
 from helpers import (
     HALF,
@@ -215,49 +215,28 @@ def determinant(matrix):
 
 def test_exact_solves_satisfy_their_systems():
     rng = Random(35)
-    entries = (0, 0, 1, -2, 5, Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2**40 + 1))
     outcomes = set()
     for n in range(7):
-        for case in range(40):
-            matrix = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
-            rhs = [rng.choice(entries) for _ in range(n)]
-            if case % 2:
-                matrix = [[Fraction(a) for a in row] for row in matrix]
-                rhs = [Fraction(b) for b in rhs]
-            integers = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            integer_rhs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(n)]
+        for _ in range(40):
+            matrix = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            rhs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(n)]
             if n:
                 # Column 0 must pivot on a later row.
-                matrix[0][0] = integers[0][0] = 0
+                matrix[0][0] = 0
             singular = determinant(matrix) == 0
             outcomes.add(singular)
             if singular:
                 with pytest.raises(co.SingularMatrixError):
                     solve_linear_system(matrix, rhs)
-            else:
-                x = solve_linear_system(matrix, rhs)
-                assert all(type(v) is Fraction for v in x)
-                assert [sum(a * v for a, v in zip(row, x)) for row in matrix] == rhs
-            if determinant(integers) == 0:
-                with pytest.raises(co.SingularMatrixError):
-                    solve_integer_system(integers, integer_rhs)
                 continue
-            d, ys = solve_integer_system(integers, integer_rhs)
-            assert d == abs(determinant(integers))
+            d, ys = solve_linear_system(matrix, rhs)
+            assert d == abs(determinant(matrix))
             assert [
-                [sum(a * y[c] for a, y in zip(row, ys)) for c in range(3)] for row in integers
-            ] == [[d * b for b in row] for row in integer_rhs]
+                [sum(a * y[c] for a, y in zip(row, ys)) for c in range(3)] for row in matrix
+            ] == [[d * b for b in row] for row in rhs]
     assert outcomes == {False, True}
     with pytest.raises(co.SingularMatrixError, match="no pivot in column 1"):
-        solve_linear_system([[1, 2], [2, 4]], [1, 1])
-    with pytest.raises(co.SingularMatrixError, match="no pivot in column 1"):
-        solve_integer_system([[1, 2], [2, 4]], [[1], [1]])
-    for solve, matrix, rhs in [
-        (solve_linear_system, [[1, 2]], [1]),
-        (solve_linear_system, [[1]], [1, 2]),
-        (solve_linear_system, [[1], [2]], [1, 2]),
-        (solve_integer_system, [[1, 2]], [[1]]),
-        (solve_integer_system, [[1]], [[1], [2]]),
-    ]:
+        solve_linear_system([[1, 2], [2, 4]], [[1], [1]])
+    for matrix, rhs in [([[1, 2]], [[1]]), ([[1]], [[1], [2]]), ([[1], [2]], [[1], [2]])]:
         with pytest.raises(ValueError, match="must be square"):
-            solve(matrix, rhs)
+            solve_linear_system(matrix, rhs)

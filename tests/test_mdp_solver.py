@@ -25,6 +25,7 @@ from helpers import (
     choice_example,
     choice_points,
     chain_value_oracle,
+    mixed_denominator_process,
     optimal_value_oracle,
     random_branching_process,
     random_chain,
@@ -231,18 +232,19 @@ def test_witness_schedulers_attain_the_reported_value():
             assert co.solve_chain(induced, formula) == result.value
 
 
+def has_zero_cost_cycle(process):
+    def free_successors(state):
+        return [
+            e.successor
+            for a in process.enabled[state]
+            for e in process.transitions[(state, a)]
+            if e.cost == 0 and e.successor != process.target
+        ]
+
+    return any(cyclic for _, cyclic in strongly_connected(process.states, free_successors))
+
+
 def test_witnesses_pass_the_checker_on_zero_cost_cycles():
-    def has_zero_cost_cycle(process):
-        def free_successors(state):
-            return [
-                e.successor
-                for a in process.enabled[state]
-                for e in process.transitions[(state, a)]
-                if e.cost == 0 and e.successor != process.target
-            ]
-
-        return any(cyclic for _, cyclic in strongly_connected(process.states, free_successors))
-
     rng = Random(35)
     checked = 0
     while checked < 300:
@@ -257,6 +259,21 @@ def test_witnesses_pass_the_checker_on_zero_cost_cycles():
     for formula in map(co.parse, ("x<=0", "x<=2", "x>=3 & x<=5")):
         for solver in (co.solve_max, co.solve_min):
             check_optimal(process, formula, solver(process, formula))
+
+
+def test_witnesses_pass_the_checker_with_mixed_denominators():
+    # Policy evaluation scales each row to ints by the lcm of all its
+    # denominators; rows mixing 2, 3, 7 and 2^301 catch a partial scale.
+    rng = Random(36)
+    checked = 0
+    while checked < 200:
+        process = mixed_denominator_process(rng)
+        if not has_zero_cost_cycle(process):
+            continue
+        formula = random_formula(rng)
+        for solver in (co.solve_max, co.solve_min):
+            check_optimal(process, formula, solver(process, formula))
+        checked += 1
 
 
 def test_constant_formulas_solve_to_zero_or_one():

@@ -1,5 +1,6 @@
 """Model construction, validation findings, and JSON interchange."""
 
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -295,6 +296,16 @@ def test_probability_strings_are_fractions_only():
                         {"from": "q0", "to": "t", "cost": 3, "prob": "1/2"}],
     }
     assert co.model_from_json(doc).transitions[("q0", "a")][0].prob == HALF
+
+
+def test_probabilities_past_the_digit_cap_are_written_in_full(digit_cap):
+    tiny = Fraction(1, 2**15001)
+    text = co.format_rational(tiny)
+    chain = co.build_chain([("q0", "t", 0, tiny), ("q0", "t", 1, 1 - tiny)], "q0", "t")
+    doc = co.model_to_json(chain)
+    sys.set_int_max_str_digits(0)  # to build the expected text; the fixture restores it
+    assert text == f"1/{2**15001}"
+    assert [row["prob"] for row in doc["transitions"][:2]] == [text, f"{2**15001 - 1}/{2**15001}"]
 
 
 def test_cost_utility_round_trip_and_validation():

@@ -1,5 +1,6 @@
 """Folding arbitrary threshold queries into the 1/2 threshold."""
 
+import json
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +9,7 @@ import pytest
 import costodds as co
 from costodds import PreconditionError, ThresholdRangeError
 from costodds.gadgets import threshold_to_half
-from helpers import HALF, choice_example, random_chain, two_flip_chain
+from helpers import HALF, ONE, choice_example, random_chain, two_flip_chain
 
 TAUS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(2, 3), Fraction(9, 10), Fraction(1)]
 
@@ -28,6 +29,15 @@ def test_low_threshold_bias_is_pinned():
     assert co.validate(folded).ok
     # success mass becomes 1/3 + 2/3 * 1/2
     assert co.solve_chain(folded, formula) == Fraction(2, 3)
+    # Without utilities the written model has no "utility" field.
+    assert json.dumps(co.model_to_json(folded)) == (
+        '{"states": ["half", "t", "q0"], "initial": "half", "target": "t", "transitions": ['
+        '{"from": "half", "to": "t", "cost": "0", "prob": "1/3"}, '
+        '{"from": "half", "to": "q0", "cost": "0", "prob": "2/3"}, '
+        '{"from": "t", "to": "t", "cost": "0", "prob": "1"}, '
+        '{"from": "q0", "to": "t", "cost": "1", "prob": "1/2"}, '
+        '{"from": "q0", "to": "t", "cost": "3", "prob": "1/2"}]}'
+    )
 
 
 def test_high_threshold_bias_is_pinned():
@@ -82,3 +92,17 @@ def test_decision_queries_agree_across_the_fold():
         for quant in ("exists", "forall"):
             direct = co.decide(process, formula, tau, quant)[0]
             assert co.decide(folded, formula, HALF, quant)[0] is direct
+
+
+def test_utilities_survive_the_fold():
+    process = co.build_process(
+        [("q0", "a", "q1", 1, HALF, 3), ("q0", "a", "t", 2, HALF), ("q1", "b", "t", 0, ONE, 1)],
+        "q0",
+        "t",
+    )
+    folded = threshold_to_half(process, co.parse("x<=1"), Fraction(1, 4), 2, 0)
+    for key, entries in process.transitions.items():
+        assert folded.transitions[key] == entries
+    doc = co.model_to_json(folded)
+    assert [row["utility"] for row in doc["transitions"]] == ["0", "0", "0", "3", "0", "1"]
+    assert co.model_to_json(co.model_from_json(doc)) == doc
