@@ -5,7 +5,9 @@ gadget (model generators), brute (oracles), sample. Exit codes: 0 for
 an answered query (or a "yes" decision), 1 for a "no" decision, 2 for
 usage or validation problems and for any unexpected error. All numbers
 print as exact rationals; ``--json`` switches to machine-readable
-reports carrying the same values.
+reports carrying the same values. Every gadget verb reports its model
+the same way: as text, the certifying fields as ``key value`` lines,
+then the model JSON; with ``--json``, one object with ``"model"`` first.
 """
 
 from __future__ import annotations
@@ -210,6 +212,24 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
+def _emit_model(args, model, shown: dict, hidden: dict) -> int:
+    """Report a generated model and the fields that certify it.
+
+    As text: one ``key value`` line per ``shown`` field, then the model
+    JSON. With ``--json``: one object, ``"model"`` first, then ``shown``
+    and ``hidden``.
+    """
+    document = model_to_json(model)
+    lines = [f"{key} {value}" for key, value in shown.items()]
+    _emit(args, {"model": document, **shown, **hidden}, [*lines, canonical_json(document)])
+    return 0
+
+
+def _verdict(args, verdict: bool) -> int:
+    _emit(args, {"verdict": verdict}, ["true" if verdict else "false"])
+    return 0 if verdict else 1
+
+
 def _threshold(text: str) -> Fraction:
     value = parse_rational(text, "threshold")
     if not 0 <= value <= 1:
@@ -268,13 +288,14 @@ def _cmd_solve(args) -> int:
 def _cmd_dist(args) -> int:
     process = model_from_json(_load_json(args.model))
     result = cost_distribution(process, args.budget)
+    mass = [(k, format_rational(v)) for k, v in sorted(result.mass.items())]
     payload = {
         "budget": result.budget,
-        "mass": {str(k): format_rational(v) for k, v in sorted(result.mass.items())},
+        "mass": {str(k): v for k, v in mass},
         "overflow": format_rational(result.overflow),
         "stats": dict(result.stats),
     }
-    lines = [f"{k}: {format_rational(v)}" for k, v in sorted(result.mass.items())]
+    lines = [f"{k}: {v}" for k, v in mass]
     lines.append(f"overflow: {format_rational(result.overflow)}")
     _emit(args, payload, lines)
     return 0
@@ -292,13 +313,10 @@ def _cmd_scheduler(args) -> int:
     process = model_from_json(_load_json(args.model))
     solver = solve_max if args.quant == "exists" else solve_min
     result = solver(process, parse(args.formula))
-    payload = {
-        "value": format_rational(result.value),
-        "scheduler": scheduler_to_json(result.scheduler),
-    }
+    entries = scheduler_to_json(result.scheduler)
+    payload = {"value": format_rational(result.value), "scheduler": entries}
     lines = [f"value {format_rational(result.value)}"] + [
-        f"{entry['state']} @ {entry['cost']} -> {entry['action']}"
-        for entry in scheduler_to_json(result.scheduler)
+        f"{entry['state']} @ {entry['cost']} -> {entry['action']}" for entry in entries
     ]
     _emit(args, payload, lines)
     return 0
@@ -315,9 +333,7 @@ def _cmd_gadget_half(args) -> int:
     hit = accept.spans[0][0]
     miss = accept.complement().spans[0][0]
     result = threshold_to_half(process, formula, threshold, miss, hit)
-    payload = {"model": model_to_json(result), "tau": "1/2", "formula": args.formula}
-    _emit(args, payload, [canonical_json(model_to_json(result))])
-    return 0
+    return _emit_model(args, result, {}, {"tau": "1/2", "formula": args.formula})
 
 
 def _cmd_gadget_circuit(args) -> int:
@@ -327,107 +343,55 @@ def _cmd_gadget_circuit(args) -> int:
         circuit, gate = lift_gate(circuit, gate)
         print(f"note: even-level gate lifted to {gate!r}", file=sys.stderr)
     certificate = circuit_to_chain(circuit, gate)
-    payload = {
-        "model": model_to_json(certificate.model),
-        "target": certificate.target_value,
-        "scale": certificate.scale,
-        "bookkeeping": _plain(certificate.bookkeeping),
-    }
-    lines = [
-        f"target {certificate.target_value}",
-        f"scale {certificate.scale}",
-        canonical_json(model_to_json(certificate.model)),
-    ]
-    _emit(args, payload, lines)
-    return 0
+    shown = {"target": certificate.target_value, "scale": certificate.scale}
+    return _emit_model(
+        args, certificate.model, shown, {"bookkeeping": _plain(certificate.bookkeeping)}
+    )
 
 
 def _cmd_gadget_posslp(args) -> int:
     circuit = circuit_from_json(_load_json(args.circuit))
     model, formula, certificate = posslp_instance(circuit, args.g1, args.g2)
-    payload = {
-        "model": model_to_json(model),
-        "formula": to_text(formula),
-        "tau": "1/2",
+    hidden = {
         "target": certificate.target_value,
         "scale": certificate.scale,
         "bookkeeping": _plain(certificate.bookkeeping),
     }
-    lines = [
-        f"formula {to_text(formula)}",
-        "tau 1/2",
-        canonical_json(model_to_json(model)),
-    ]
-    _emit(args, payload, lines)
-    return 0
+    return _emit_model(args, model, {"formula": to_text(formula), "tau": "1/2"}, hidden)
 
 
 def _cmd_gadget_qss(args) -> int:
     process, budget, threshold = qsubsetsum_to_process(_weights(args.k), args.total)
-    payload = {
-        "model": model_to_json(process),
-        "B": budget,
-        "tau": format_rational(threshold),
-        "formula": f"x<={budget}",
-    }
-    lines = [
-        f"B {budget}",
-        f"tau {format_rational(threshold)}",
-        canonical_json(model_to_json(process)),
-    ]
-    _emit(args, payload, lines)
-    return 0
+    shown = {"B": budget, "tau": format_rational(threshold)}
+    return _emit_model(args, process, shown, {"formula": f"x<={budget}"})
 
 
 def _cmd_gadget_uqss(args) -> int:
     process, budget, threshold = universal_qsubsetsum_to_process(
         _weights(args.k), args.total
     )
-    payload = {
-        "model": model_to_json(process),
-        "B": budget,
-        "tau": format_rational(threshold),
-        "formula": f"x<={budget - 1}",
-    }
-    lines = [
-        f"B {budget}",
-        f"tau {format_rational(threshold)}",
-        canonical_json(model_to_json(process)),
-    ]
-    _emit(args, payload, lines)
-    return 0
+    shown = {"B": budget, "tau": format_rational(threshold)}
+    return _emit_model(args, process, shown, {"formula": f"x<={budget - 1}"})
 
 
 def _cmd_gadget_countdown(args) -> int:
     game = countdown_from_json(_load_json(args.game))
     process, total = countdown_to_process(game)
-    payload = {"model": model_to_json(process), "total": total}
-    _emit(args, payload, [f"total {total}", canonical_json(model_to_json(process))])
-    return 0
+    return _emit_model(args, process, {"total": total}, {})
 
 
 def _cmd_gadget_cu(args) -> int:
     process = model_from_json(_load_json(args.model))
     result = qualitative_to_cost_utility(process, args.total)
-    payload = {
-        "model": model_to_json(result),
-        "cost_cap": args.total,
-        "goal": args.total,
-    }
-    _emit(args, payload, [canonical_json(model_to_json(result))])
-    return 0
+    return _emit_model(args, result, {}, {"cost_cap": args.total, "goal": args.total})
 
 
 def _cmd_brute_qss(args) -> int:
-    verdict = qsubsetsum_brute(_weights(args.k), args.total)
-    _emit(args, {"verdict": verdict}, ["true" if verdict else "false"])
-    return 0 if verdict else 1
+    return _verdict(args, qsubsetsum_brute(_weights(args.k), args.total))
 
 
 def _cmd_brute_countdown(args) -> int:
-    verdict = countdown_brute(countdown_from_json(_load_json(args.game)))
-    _emit(args, {"verdict": verdict}, ["true" if verdict else "false"])
-    return 0 if verdict else 1
+    return _verdict(args, countdown_brute(countdown_from_json(_load_json(args.game))))
 
 
 def _cmd_brute_parikh(args) -> int:

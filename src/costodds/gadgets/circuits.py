@@ -191,21 +191,30 @@ class _Builder:
         return self._constants[key]
 
     def constant(self, value: int, level: int) -> str:
-        """A gate of the given 0/1 value on the given level."""
-        key = (value, level)
-        if key in self._constants:
-            return self._constants[key]
-        if level == 0:
-            return self.leaf(value)
-        below = self.constant(value, level - 1)
-        if level % 2:
-            partner = self.constant(0, level - 1)
-            gate_id = self.combine(below, partner)
-        else:
-            partner = self.constant(value, level - 1)
-            gate_id = self.combine(below, partner)
-        self._constants[key] = gate_id
-        return gate_id
+        """A gate of the given 0/1 value on the given level.
+
+        Missing rungs are built on an explicit stack, not one Python frame
+        per level, in depth-first order: the gate below, then its partner,
+        then their combination. Gate ids follow that order.
+        """
+        pending = [(value, level)]
+        while pending:
+            key = pending[-1]
+            if key in self._constants:
+                pending.pop()
+                continue
+            bit, rung = key
+            if rung == 0:
+                self.leaf(bit)
+                continue
+            below = (bit, rung - 1)
+            partner = (0 if rung % 2 else bit, rung - 1)
+            missing = [part for part in (below, partner) if part not in self._constants]
+            if missing:
+                pending.append(missing[0])
+                continue
+            self._constants[key] = self.combine(self._constants[below], self._constants[partner])
+        return self._constants[(value, level)]
 
     def combine(self, left: str, right: str) -> str:
         """Join two same-level gates with the gate kind their level dictates."""

@@ -148,8 +148,8 @@ def count_parikh_paths(
 ) -> int:
     """Exact number of source-to-sink paths hitting the letter budget.
 
-    Memoized depth-first search over (state, remaining-budget) pairs;
-    aborts after ``PATH_GUARD`` explored nodes.
+    Memoized depth-first search over (state, remaining-budget) pairs, on
+    an explicit stack; aborts after ``PATH_GUARD`` explored nodes.
     """
     if source not in dfa.states or sink not in dfa.states:
         raise PreconditionError("source and sink must be DFA states")
@@ -167,30 +167,39 @@ def count_parikh_paths(
             return 0
     memo: dict[tuple[str, tuple[int, ...]], int] = {}
     explored = 0
-
-    def walk(state: str, left: int) -> int:
-        nonlocal explored
+    # Open nodes of the depth-first search, deepest last:
+    # [memo key, letters left, successors, count so far, letter spent on the child].
+    frames: list[list] = []
+    state, left = source, sum(remaining)
+    while True:
         explored += 1
         if explored > PATH_GUARD:
             raise GuardExceededError(
                 f"path enumeration exceeded {PATH_GUARD} partial paths"
             )
         if left == 0:
-            return 1 if state == sink else 0
-        key = (state, tuple(remaining))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for pos, successor in outgoing[state]:
-            if remaining[pos]:
-                remaining[pos] -= 1
-                total += walk(successor, left - 1)
-                remaining[pos] += 1
-        memo[key] = total
-        return total
-
-    return walk(source, sum(remaining))
+            count = 1 if state == sink else 0
+        else:
+            key = (state, tuple(remaining))
+            count = memo.get(key)
+            if count is None:
+                frames.append([key, left, iter(outgoing[state]), 0, None])
+        while frames:
+            frame = frames[-1]
+            if frame[4] is not None:
+                remaining[frame[4]] += 1
+                frame[3] += count
+            step = next(((pos, nxt) for pos, nxt in frame[2] if remaining[pos]), None)
+            if step is None:
+                memo[frame[0]] = count = frame[3]
+                frames.pop()
+                continue
+            frame[4], state = step
+            remaining[frame[4]] -= 1
+            left = frame[1] - 1
+            break
+        else:
+            return count
 
 
 def _letters(gate_id: str) -> tuple[str, str, str]:

@@ -728,6 +728,25 @@ def level_four_tower() -> ArithmeticCircuit:
     )
 
 
+def zero_ladder(levels: int) -> ArithmeticCircuit:
+    """Two all-zero gates a<l>, b<l> on each of ``levels`` levels, both fed by
+    the pair below; lifting the top gate builds a zero ladder as tall."""
+    rows = [("a0", "zero", ()), ("b0", "zero", ())]
+    for level in range(1, levels):
+        kind = "plus" if level % 2 else "times"
+        below = (f"a{level - 1}", f"b{level - 1}")
+        rows += [(f"a{level}", kind, below), (f"b{level}", kind, below)]
+    return make_circuit(rows)
+
+
+def wide_sums(width: int) -> ArithmeticCircuit:
+    """``width`` level-1 gates p<i> = one + zero: a DFA letter budget of
+    3 * width + 1 letters for any one of them."""
+    return make_circuit(
+        [*LEAF_ROWS, *((f"p{i}", "plus", ("one", "zero")) for i in range(width))]
+    )
+
+
 def _pairings(ids: list[str]) -> list[tuple[str, str]]:
     """Unordered input pairs over one level, repetition allowed."""
     return [(a, b) for pos, a in enumerate(ids) for b in ids[pos:]]

@@ -16,7 +16,7 @@ from costodds.gadgets import (
     normalize_circuit,
 )
 
-from helpers import LEAF_ROWS, fixed_circuit_corpus, random_circuit
+from helpers import LEAF_ROWS, fixed_circuit_corpus, random_circuit, zero_ladder
 
 
 def square_tower():
@@ -98,6 +98,15 @@ def test_lift_twice_climbs_two_levels():
     twice, top = lift_gate(once, mid)
     assert twice.gate(top).level == 3
     assert eval_circuit(twice, top) == 2
+
+
+def test_lift_builds_deep_constant_ladders():
+    # The zero partner of a1498 is a ladder 1 498 levels tall: deeper
+    # than CPython's default recursion limit.
+    lifted, top = lift_gate(zero_ladder(1499), "a1498")
+    assert top == "lift1498"
+    assert lifted.gate(top).level == 1499
+    assert eval_circuit(lifted, top) == 0
 
 
 def raw_eval(rows, gate_id):

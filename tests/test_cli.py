@@ -8,7 +8,13 @@ import pytest
 import costodds as co
 from costodds.cli import _build_parser, canonical_json, main
 from costodds.gadgets import circuit_to_json, make_circuit
-from helpers import choice_example, geometric_chain, level_four_tower, two_flip_chain
+from helpers import (
+    choice_example,
+    geometric_chain,
+    level_four_tower,
+    two_flip_chain,
+    zero_ladder,
+)
 
 
 def run(capsys, *argv):
@@ -424,6 +430,65 @@ def test_circuit_gadgets_refuse_gates_above_level_three(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "level" in err
+
+
+def test_circuit_gadget_refuses_deep_lifts_with_the_level_message(capsys, tmp_path):
+    path = write_json(tmp_path, "ladder.json", circuit_to_json(zero_ladder(1499)))
+    code, out, err = run(capsys, "gadget", "circuit", "--circuit", path, "--gate", "a1498")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "note: even-level gate lifted to 'lift1498'",
+        "error: gate 'lift1498' sits on level 1499; path counts are exact only up to level 3",
+    ]
+
+
+def gadget_arguments(tmp_path, verb: str) -> list[str]:
+    circuit = make_circuit(
+        [
+            ("one", "one", ()),
+            ("zero", "zero", ()),
+            ("g1", "plus", ("one", "one")),
+            ("g2", "plus", ("one", "zero")),
+        ]
+    )
+    game = {"states": ["s"], "initial": "s", "final": 3, "moves": [{"from": "s", "k": 1, "to": "s"}]}
+    if verb == "half":
+        chain = write_json(tmp_path, "chain.json", co.model_to_json(two_flip_chain()))
+        return ["--model", chain, "--formula", "x<=1", "--tau", "1/4"]
+    if verb in ("circuit", "posslp"):
+        path = write_json(tmp_path, "circuit.json", circuit_to_json(circuit))
+        gates = ["--gate", "g1"] if verb == "circuit" else ["--g1", "g1", "--g2", "g2"]
+        return ["--circuit", path, *gates]
+    if verb in ("qss", "uqss"):
+        return ["--k", "1,1", "--T", "2"]
+    if verb == "countdown":
+        return ["--game", write_json(tmp_path, "game.json", game)]
+    process = write_json(tmp_path, "choice.json", co.model_to_json(choice_example()))
+    return ["--model", process, "--T", "4"]
+
+
+@pytest.mark.parametrize(
+    "verb, shown",
+    [
+        ("half", ()),
+        ("circuit", ("target", "scale")),
+        ("posslp", ("formula", "tau")),
+        ("qss", ("B", "tau")),
+        ("uqss", ("B", "tau")),
+        ("countdown", ("total",)),
+        ("cu", ()),
+    ],
+)
+def test_gadget_text_reports_show_certificates_then_the_model(capsys, tmp_path, verb, shown):
+    argv = gadget_arguments(tmp_path, verb)
+    code, out, _ = run(capsys, "gadget", verb, "--json", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[: len(shown) + 1] == ["model", *shown]
+    code, out, _ = run(capsys, "gadget", verb, *argv)
+    assert code == 0
+    lines = [f"{key} {payload[key]}" for key in shown] + [canonical_json(payload["model"])]
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_sample_output_is_reproducible(capsys, two_flip_model):

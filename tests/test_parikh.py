@@ -13,7 +13,7 @@ from costodds.gadgets import (
     make_circuit,
 )
 from costodds.gadgets import parikh
-from helpers import fixed_circuit_corpus, level_four_tower, random_circuit
+from helpers import fixed_circuit_corpus, level_four_tower, random_circuit, wide_sums
 
 ONE_LEAF = make_circuit([("l", "one", ())])
 ZERO_LEAF = make_circuit([("z", "zero", ())])
@@ -147,6 +147,13 @@ def test_path_guard_aborts_runaway_walks(monkeypatch):
     assert count_parikh_paths(loop, "s", "s", {"a": 9}) == 1
     with pytest.raises(GuardExceededError, match="partial paths"):
         count_parikh_paths(loop, "s", "s", {"a": 500})
+
+
+def test_long_letter_budgets_walk_without_recursion():
+    # 400 sibling gates give p0 a budget of 1 201 letters, one search
+    # level per letter: deeper than CPython's default recursion limit.
+    circuit = wide_sums(400)
+    assert count_for(circuit, "p0") == eval_circuit(circuit, "p0") == 1
 
 
 def test_gates_above_level_three_are_refused():
