@@ -7,19 +7,26 @@ every value the component reads from outside is already fixed. Inside
 a component the solvers' edges cost nothing, and ``resolve_component``
 optimizes it: a lone member without a zero-cost self-loop takes its
 best action directly, a cyclic component runs policy iteration whose
-evaluations are square linear systems. Floating point is never
-acceptable there, and the package has one exact solve:
-``solve_linear_system``, fraction-free Gauss-Jordan (Bareiss 1968) on
-integer systems with any number of right-hand sides. The chain solver's
-zero-cost closure calls it once per cyclic component; policy evaluation
-scales each of its rational rows to integers and calls it with one
-column. Systems stay small: one row per member of the component.
+evaluations are square linear systems.
+
+The kernel runs on integers. Constants and edge weights are ints over
+one common denominator, and every value is a reduced (numerator,
+denominator) int pair. An action's value is summed term by term with
+Henrici's rule, as ``fractions`` adds, so each gcd sees at most one
+value's denominator; putting all terms over one common denominator
+instead would leave a gcd of the whole sum, which on wide-denominator
+processes reaches numerators of 10^5 bits. Floating point is never
+acceptable, and the package has one exact solve: ``solve_linear_system``,
+fraction-free Gauss-Jordan (Bareiss 1968) on integer systems with any
+number of right-hand sides. The chain solver's zero-cost closure calls
+it once per cyclic component; policy evaluation scales each row to
+integers and calls it with one column. Systems stay small: one row per
+member of the component.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, MutableMapping
 
 from .errors import SingularMatrixError
@@ -84,18 +91,22 @@ def resolve_component(
     options: Mapping,
     values: MutableMapping,
     mode: str,
+    scale: int,
 ) -> list[int]:
     """Optimize one strongly connected component whose internal edges cost zero.
 
     Args:
         members, cyclic: the component, as ``strongly_connected`` emits it.
         options: per member, one (constant, edges) pair per enabled
-            action in canonical order; edges are (vertex, weight) pairs,
-            and an action's value is its constant plus the weighted
-            values of those vertices.
+            action in canonical order; edges are (vertex, weight) pairs.
+            Constants and weights are ints over ``scale``: an action's
+            value is (constant + Σ weight·value) / scale.
         values: the value of every vertex outside the component that an
-            edge names; the members' optimal values are written into it.
+            edge names, as a reduced (numerator, denominator) int pair
+            with a positive denominator; the members' optimal values are
+            written into it the same way.
         mode: "max" or "min".
+        scale: the common denominator of constants and weights.
 
     Returns:
         Per member, the index of its lowest-index optimal action.
@@ -107,60 +118,104 @@ def resolve_component(
     """
     if not cyclic:
         q = members[0]
-        values[q], choice = _best(options[q], values, mode)
+        values[q], choice = _best(options[q], values, mode, scale)
         return [choice]
 
     choosing = [q for q in members if len(options[q]) > 1]
     policy = dict.fromkeys(members, 0)
+    lowest = dict(policy)
     improved = True
     while improved:
-        _evaluate_policy(members, options, policy, values)
+        _evaluate_policy(members, options, policy, values, scale)
         improved = False
         for q in choosing:
-            best, index = _best(options[q], values, mode)
+            best, lowest[q] = _best(options[q], values, mode, scale)
             # The policy's action attains values[q], so any other best is
             # a strict improvement.
             if best != values[q]:
-                policy[q], improved = index, True
-    return [_best(options[q], values, mode)[1] for q in members]
+                policy[q], improved = lowest[q], True
+    # No member improved, so the values are optimal and ``lowest`` holds
+    # each member's lowest-index optimal action.
+    return [lowest[q] for q in members]
 
 
-def _best(per_action: list, values: Mapping, mode: str) -> tuple[Fraction, int]:
-    """The optimal action value and the lowest index attaining it."""
-    best = None
+def _best(
+    per_action: list, values: Mapping, mode: str, scale: int
+) -> tuple[tuple[int, int], int]:
+    """The optimal action value as a reduced pair, and the lowest index attaining it.
+
+    Each action's sum constant + Σ weight·value is kept reduced term by
+    term, as ``fractions`` adds: Henrici's rule takes the gcd of the two
+    denominators, then of the new numerator against that gcd alone, so
+    no gcd ever sees a whole product of denominators. Actions compare by
+    cross-multiplication; only the winner is divided by ``scale``.
+    """
+    best_num = best_den = 0
     best_index = 0
-    for index, (const, edges) in enumerate(per_action):
-        acc = const
+    for index, (num, edges) in enumerate(per_action):
+        den = 1
         for succ, weight in edges:
-            acc += weight * values[succ]
-        if best is None or (acc > best if mode == "max" else acc < best):
-            best, best_index = acc, index
-    return best, best_index
+            n, d = values[succ]
+            if not n:
+                continue
+            if d == 1:
+                num += n * weight * den
+                continue
+            g = gcd(weight, d)
+            if g != 1:
+                weight //= g
+                d //= g
+            n *= weight
+            g = gcd(den, d)
+            if g == 1:
+                num, den = num * d + n * den, den * d
+            else:
+                s = den // g
+                t = num * (d // g) + n * s
+                g2 = gcd(t, g)
+                num, den = (t, s * d) if g2 == 1 else (t // g2, s * (d // g2))
+        if not index or (
+            num * best_den > best_num * den if mode == "max" else num * best_den < best_num * den
+        ):
+            best_num, best_den, best_index = num, den, index
+    # The sum is reduced, so only the part of the scale it shares can cancel.
+    g = gcd(best_num, scale)
+    return (best_num // g, best_den * (scale // g)), best_index
 
 
 def _evaluate_policy(
-    members: list, options: Mapping, policy: Mapping, values: MutableMapping
+    members: list, options: Mapping, policy: Mapping, values: MutableMapping, scale: int
 ) -> None:
+    """Write the values of ``policy`` on the component's members.
+
+    Each member's row x_q = (constant + Σ weight·x) / scale is multiplied
+    by scale·L, where L is the lcm of the denominators of the outside
+    values it reads, so every coefficient is an int.
+    """
+    size = len(members)
     index = {q: i for i, q in enumerate(members)}
     matrix = []
     rhs = []
     for i, q in enumerate(members):
-        row = [0] * len(members)
-        row[i] = 1
         const, edges = options[q][policy[q]]
+        row = [0] * size
+        row[i] = scale
+        outside = []
         for succ, weight in edges:
             column = index.get(succ)
             if column is None:
-                const += weight * values[succ]
+                n, d = values[succ]
+                if n:
+                    outside.append((weight * n, d))
             else:
                 row[column] -= weight
-        # Scale the row and its rhs entry to ints by their denominators' lcm.
-        scale = lcm(const.denominator, *(entry.denominator for entry in row))
-        matrix.append([entry.numerator * (scale // entry.denominator) for entry in row])
-        rhs.append([const.numerator * (scale // const.denominator)])
+        multiple = lcm(*(d for _, d in outside))
+        matrix.append([entry * multiple for entry in row])
+        rhs.append([const * multiple + sum(n * (multiple // d) for n, d in outside)])
     d, solution = solve_linear_system(matrix, rhs)
     for q, (y,) in zip(members, solution):
-        values[q] = Fraction(y, d)
+        g = gcd(y, d)
+        values[q] = (y // g, d // g)
 
 
 def solve_linear_system(

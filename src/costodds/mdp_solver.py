@@ -8,14 +8,20 @@ formula's constant tail verdict. That truncation makes the search space
 finite and the optimum attainable by backward induction over the pairs.
 
 Below ``TOP`` the (state, cost) pairs form a graph whose only cycles
-cost zero, and every ``TOP`` pair has the tail value, so one pass of ``linalg.strongly_connected`` from the initial pair
-both finds the reachable pairs and hands out their components with every
-successor component already resolved. ``linalg.resolve_component`` then
-fixes each one: a lone pair by its best action, a zero-cost cycle by
-exact policy iteration (evaluate a policy with one rational linear
-solve, switch only on strict improvement, terminate because policies
-never repeat). Ties break toward the lowest canonical action index so
-schedulers are reproducible.
+cost zero, and every ``TOP`` pair has the tail value, so one pass of
+``linalg.strongly_connected`` from the initial pair both finds the
+reachable pairs and hands out their components with every successor
+component already resolved. Each pair's options come from the process's
+integer table (``CostProcess.int_table``): per action, the weight that
+reaches the target within the formula and the weighted edges to other
+pairs, all ints over the table's denominator D.
+``linalg.resolve_component`` then fixes each component on integers: a
+lone pair by its best action, a zero-cost cycle by exact policy
+iteration (evaluate a policy with one fraction-free linear solve, switch
+only on strict improvement, terminate because policies never repeat).
+Values stay reduced int pairs; the one ``Fraction`` is the answer's.
+Ties break toward the lowest canonical action index so schedulers are
+reproducible.
 """
 
 from __future__ import annotations
@@ -307,40 +313,42 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     budget = max_constant(formula)
     target = process.target
     enabled = process.enabled
-    transitions = process.transitions
-    zero = Fraction(0)
-    # Per (state, cost) pair and enabled action: the mass that reaches the
-    # target within the formula, and the edges to other pairs.
-    options: dict[tuple[str, int], list[tuple[Fraction, list]]] = {}
+    table = process.int_table
+    rows = table.rows
+    # Per (state, cost) pair and enabled action: the weight that reaches
+    # the target within the formula, and the weighted edges to other
+    # pairs, all ints over the table's denominator.
+    options: dict[tuple[str, int], list[tuple[int, list]]] = {}
 
     def successors(pair: tuple[str, "int | str"]) -> list:
         state, cost = pair
         if cost == TOP:
             return [
                 (succ, TOP)
-                for action in enabled[state]
-                for succ, _, _, _ in transitions[(state, action)]
+                for action_rows in rows[state]
+                for succ, _, _ in action_rows
                 if succ != target
             ]
         per_action = []
         out = []
-        for action in enabled[state]:
-            const = zero
+        for action_rows in rows[state]:
+            const = 0
             edges = []
-            for succ, step, prob, _ in transitions[(state, action)]:
+            for succ, step, weight in action_rows:
                 total = cost + step
                 if succ == target:
                     if total in accept:
-                        const += prob
+                        const += weight
                 else:
                     nxt = (succ, total if total <= budget else TOP)
-                    edges.append((nxt, prob))
+                    edges.append((nxt, weight))
                     out.append(nxt)
             per_action.append((const, edges))
         options[pair] = per_action
         return out
 
-    tail = Fraction(budget + 1 in accept)
+    # Values are reduced (numerator, denominator) int pairs.
+    tail = (int(budget + 1 in accept), 1)
     value: dict = {}
     entries: dict[SchedulerKey, str] = {}
     for component, cyclic in strongly_connected([(process.initial, 0)], successors):
@@ -352,9 +360,12 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
                 if len(enabled[pair[0]]) > 1:
                     entries[pair] = enabled[pair[0]][0]
             continue
-        choices = resolve_component(component, cyclic, options, value, mode)
+        choices = resolve_component(
+            component, cyclic, options, value, mode, table.denominator
+        )
         for pair, choice in zip(component, choices):
             del options[pair]
             if len(enabled[pair[0]]) > 1:
                 entries[pair] = enabled[pair[0]][choice]
-    return SolveResult(value[(process.initial, 0)], Scheduler(budget, entries), mode)
+    numerator, denominator = value[(process.initial, 0)]
+    return SolveResult(Fraction(numerator, denominator), Scheduler(budget, entries), mode)

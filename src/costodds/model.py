@@ -12,8 +12,9 @@ chain. Two structural assumptions make accumulated cost well defined:
 
 ``validate`` checks both (plus distribution sums) and reports findings as
 data rather than exceptions; solvers refuse processes whose report is not
-clean. Validation, chain-ness, and acyclicity are cached per instance
-since models are immutable once built.
+clean. Validation, chain-ness, acyclicity and the integer table
+(``CostProcess.int_table``) are cached per instance since models are
+immutable once built.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ModelFormatError, NotValidatedError
@@ -55,6 +57,22 @@ class Transition(NamedTuple):
     cost: int
     prob: Fraction
     utility: int = 0
+
+
+class IntTable(NamedTuple):
+    """A process's transitions as integers over one common denominator.
+
+    ``denominator`` is D, the lcm of every probability denominator.
+    ``rows[state]`` holds, per enabled action in canonical order, that
+    action's distribution as (successor, cost, weight) rows with
+    weight = prob·D. ``min_weight`` and ``max_cost`` are the smallest
+    weight and the largest cost over all rows.
+    """
+
+    denominator: int
+    rows: Mapping[str, tuple[tuple[tuple[str, int, int], ...], ...]]
+    min_weight: int
+    max_cost: int
 
 
 @dataclass(frozen=True)
@@ -119,6 +137,26 @@ class CostProcess:
                         seen.add(entry.successor)
                         frontier.append(entry.successor)
         return frozenset(seen)
+
+    @cached_property
+    def int_table(self) -> IntTable:
+        """The transitions over their common denominator, built once per process."""
+        keys = [(q, a) for q in self.states for a in self.enabled[q]]
+        denominator = lcm(*{e.prob.denominator for key in keys for e in self.transitions[key]})
+        per_key = {
+            key: tuple(
+                (e.successor, e.cost, e.prob.numerator * (denominator // e.prob.denominator))
+                for e in self.transitions[key]
+            )
+            for key in keys
+        }
+        every = [row for entries in per_key.values() for row in entries]
+        return IntTable(
+            denominator,
+            {q: tuple(per_key[(q, a)] for a in self.enabled[q]) for q in self.states},
+            min((weight for _, _, weight in every), default=denominator),
+            max((cost for _, cost, _ in every), default=0),
+        )
 
     @cached_property
     def _chain(self) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ThresholdRangeError
 from .formula import parse
@@ -42,18 +43,22 @@ class QuantileBounds:
     log_bound: Fraction
 
 
+@lru_cache(maxsize=256)
 def ln_upper(value: Fraction, frac_bits: int = 64) -> Fraction:
     """A dyadic rational upper bound on ln(value), for value >= 1.
 
     Range-reduces to [1, 2) against an upper bound on ln 2, sums the
     atanh series with an explicit tail estimate, and rounds the total
     upward to ``frac_bits`` fractional bits. Tightening ``frac_bits``
-    only ever lowers the result toward the true logarithm.
+    only ever lowers the result toward the true logarithm. An int or
+    float argument is read as the exact rational it equals. Results are
+    memoized: quantile bounds and chain certificates ask for the same
+    few logarithms again and again.
     """
     if value < 1:
         raise ValueError(f"ln_upper needs value >= 1, got {value}")
     exponent = 0
-    reduced = value
+    reduced = Fraction(value)
     while reduced >= 2:
         reduced /= 2
         exponent += 1
@@ -89,16 +94,9 @@ def _round_up_dyadic(value: Fraction, frac_bits: int) -> Fraction:
 
 
 def _description_extremes(process: CostProcess) -> tuple[Fraction, int]:
-    p_min = Fraction(1)
-    k_max = 0
-    for state in process.states:
-        for action in process.enabled[state]:
-            for _, cost, prob, _ in process.transitions[(state, action)]:
-                if prob < p_min:
-                    p_min = prob
-                if cost > k_max:
-                    k_max = cost
-    return p_min, k_max
+    """p_min and k_max, read from the process's integer table."""
+    table = process.int_table
+    return Fraction(table.min_weight, table.denominator), table.max_cost
 
 
 def tail_budget(process: CostProcess, log_bound: Fraction) -> int:

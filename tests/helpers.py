@@ -21,7 +21,6 @@ from random import Random
 from typing import Mapping
 
 import costodds as co
-from costodds.linalg import resolve_component, strongly_connected
 from costodds.gadgets import ArithmeticCircuit, CountdownGame, make_circuit, make_countdown
 
 HALF = Fraction(1, 2)
@@ -275,35 +274,59 @@ def _zero_level_visits(
     The subgraph spans the non-target states reachable from the inflow
     support via zero-cost transitions. The counts solve v = inflow + Z^T v,
     which is nonsingular because no zero-cost end component can exist in
-    a validated process. Each state is a one-action component member
-    whose edges are its zero-cost predecessors, so components resolve
-    predecessors first; a level counts one linear solve if any of its
-    components is cyclic.
+    a validated process; ``eliminate`` solves it. A level counts one
+    linear solve if its subgraph has a cycle.
     """
     relevant: list[str] = list(inflow)
     seen = set(inflow)
-    predecessors: dict[str, list[tuple[str, Fraction]]] = {}
+    rows: dict[str, list] = {q: [{}, count] for q, count in inflow.items()}
     for q in relevant:
         for succ, cost, prob, _ in dist[q]:
             if cost == 0 and succ != target:
                 if succ not in seen:
                     seen.add(succ)
                     relevant.append(succ)
-                predecessors.setdefault(succ, []).append((q, prob))
-    if not predecessors:
+                    rows[succ] = [{}, Fraction(0)]
+                coefficients = rows[succ][0]
+                coefficients[q] = coefficients.get(q, 0) + prob
+    if not any(coefficients for coefficients, _ in rows.values()):
         return inflow
-
-    zero = Fraction(0)
-    options = {q: ((inflow.get(q, zero), predecessors.get(q, ())),) for q in relevant}
-    visits: dict[str, Fraction] = {}
-    solved = False
-    for members, cyclic in strongly_connected(
-        relevant, lambda q: [p for p, _ in predecessors.get(q, ())]
-    ):
-        resolve_component(members, cyclic, options, visits, "max")
-        solved = solved or cyclic
-    stats["linear_solves"] += solved
+    visits, cyclic = eliminate(rows, relevant)
+    stats["linear_solves"] += cyclic
     return visits
+
+
+def eliminate(rows: dict, order: list) -> tuple[dict, bool]:
+    """Solve x_v = constant + Σ c·x_u for every v with ``rows[v] == [coefficients, constant]``.
+
+    Variables are eliminated in ``order``: each is divided through by one
+    minus its coefficient on itself and substituted into the remaining
+    rows; back-substitution then gives every value. The coefficients
+    must be non-negative and make I − P a nonsingular M-matrix, so no
+    pivot is zero. Then some variable meets a coefficient on itself
+    exactly when the coefficient graph has a cycle, which the second
+    result reports. ``rows`` is consumed.
+    """
+    definitions = []
+    cyclic = False
+    for var in order:
+        coefficients, constant = rows.pop(var)
+        stay = coefficients.pop(var, 0)
+        cyclic = cyclic or stay != 0
+        scale = 1 / (1 - Fraction(stay))
+        coefficients = {u: c * scale for u, c in coefficients.items()}
+        constant *= scale
+        for row in rows.values():
+            c = row[0].pop(var, None)
+            if c is not None:
+                for u, d in coefficients.items():
+                    row[0][u] = row[0].get(u, 0) + c * d
+                row[1] += c * constant
+        definitions.append((var, coefficients, constant))
+    values: dict = {}
+    for var, coefficients, constant in reversed(definitions):
+        values[var] = constant + sum(c * values[u] for u, c in coefficients.items())
+    return values, cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +469,7 @@ def check_optimal(
                 coefficients[succ] = coefficients.get(succ, 0) + prob
         rows[pair] = [coefficients, constant]
     order = sorted(pairs, key=lambda p: budget + 1 if p[1] == co.TOP else p[1], reverse=True)
-    definitions = []
-    for pair in order:
-        coefficients, constant = rows.pop(pair)
-        scale = 1 / (1 - Fraction(coefficients.pop(pair, 0)))
-        coefficients = {u: c * scale for u, c in coefficients.items()}
-        constant *= scale
-        for row in rows.values():
-            c = row[0].pop(pair, None)
-            if c is not None:
-                for u, d in coefficients.items():
-                    row[0][u] = row[0].get(u, 0) + c * d
-                row[1] += c * constant
-        definitions.append((pair, coefficients, constant))
-    values = {}
-    for pair, coefficients, constant in reversed(definitions):
-        values[pair] = constant + sum(c * values[u] for u, c in coefficients.items())
+    values, _ = eliminate(rows, order)
 
     assert result.value == values[(process.initial, 0)]
     for pair in pairs:

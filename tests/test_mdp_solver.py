@@ -16,7 +16,7 @@ from costodds import (
     SchedulerGapError,
     ThresholdRangeError,
 )
-from costodds.linalg import strongly_connected
+from costodds.linalg import resolve_component, strongly_connected
 
 from helpers import (
     HALF,
@@ -274,6 +274,45 @@ def test_witnesses_pass_the_checker_with_mixed_denominators():
         for solver in (co.solve_max, co.solve_min):
             check_optimal(process, formula, solver(process, formula))
         checked += 1
+
+
+@pytest.mark.parametrize("budget", [100, 200, 300])
+def test_witnesses_pass_the_checker_at_budgets_in_the_hundreds(budget):
+    # Wide denominators compound over hundreds of cost levels, so values
+    # carry numerators of thousands of bits through the integer kernel.
+    rng = Random(budget)
+    checked = 0
+    while checked < 3:
+        process = mixed_denominator_process(rng, max_states=5)
+        if sum(len(process.enabled[q]) > 1 for q in process.states) < 2:
+            continue
+        for text in (f"x<={budget}", f"x>={budget // 2} & x<={budget}"):
+            formula = co.parse(text)
+            for solver in (co.solve_max, co.solve_min):
+                check_optimal(process, formula, solver(process, formula))
+        checked += 1
+
+
+def test_kernel_breaks_ties_low_and_keeps_values_reduced():
+    # Over scale 6, with u = 1/3 outside: b = (2 + 2a + 2u)/6, and a picks
+    # u (1/3), b, or the constant 4/6. Under the max, a = b = 2/3 both
+    # through b and through the constant, so the tie goes to index 1;
+    # policy iteration reaches the constant first.
+    options = {
+        "a": [(0, [("u", 6)]), (0, [("b", 6)]), (4, [])],
+        "b": [(2, [("a", 2), ("u", 2)])],
+    }
+    values = {"u": (1, 3)}
+    assert resolve_component(["a", "b"], True, options, values, "max", 6) == [1, 0]
+    assert values == {"u": (1, 3), "a": (2, 3), "b": (2, 3)}
+    values = {"u": (1, 3)}
+    assert resolve_component(["a", "b"], True, options, values, "min", 6) == [0, 0]
+    assert values == {"u": (1, 3), "a": (1, 3), "b": (5, 9)}
+    # A lone member: the constant 2/6 ties the edge to u.
+    values = {"u": (1, 3)}
+    lone = {"c": [(2, []), (0, [("u", 6)])]}
+    assert resolve_component(["c"], False, lone, values, "min", 6) == [0]
+    assert values["c"] == (1, 3)
 
 
 def test_constant_formulas_solve_to_zero_or_one():

@@ -1,5 +1,6 @@
 """Model construction, validation findings, and JSON interchange."""
 
+import math
 import sys
 from fractions import Fraction
 from random import Random
@@ -9,7 +10,15 @@ import pytest
 import costodds as co
 from costodds import ModelFormatError
 
-from helpers import HALF, ONE, choice_example, geometric_chain, random_process, two_flip_chain
+from helpers import (
+    HALF,
+    ONE,
+    choice_example,
+    geometric_chain,
+    mixed_denominator_process,
+    random_process,
+    two_flip_chain,
+)
 
 
 def test_build_chain_adds_target_loop():
@@ -46,6 +55,31 @@ def test_reachable_and_control_graph():
 def test_is_acyclic():
     assert co.is_acyclic(two_flip_chain())
     assert not co.is_acyclic(geometric_chain())
+
+
+def test_int_table_matches_the_transitions():
+    rng = Random(41)
+    processes = [choice_example(), geometric_chain()]
+    processes += [random_process(rng) for _ in range(30)]
+    processes += [mixed_denominator_process(rng) for _ in range(30)]
+    for process in processes:
+        table = process.int_table
+        assert process.int_table is table
+        entries = [
+            e for q in process.states for a in process.enabled[q] for e in process.transitions[(q, a)]
+        ]
+        assert table.denominator == math.lcm(*(e.prob.denominator for e in entries))
+        for q in process.states:
+            assert len(table.rows[q]) == len(process.enabled[q])
+            for action, rows in zip(process.enabled[q], table.rows[q]):
+                expected = [(e.successor, e.cost, e.prob) for e in process.transitions[(q, action)]]
+                assert [(s, c, Fraction(w, table.denominator)) for s, c, w in rows] == expected
+        p_min = min(e.prob for e in entries)
+        k_max = max(e.cost for e in entries)
+        assert Fraction(table.min_weight, table.denominator) == p_min
+        assert table.max_cost == k_max
+        bounds = co.budget_upper_bound(process, HALF)
+        assert (bounds.p_min, bounds.k_max) == (p_min, k_max)
 
 
 def test_bad_distribution_finding():

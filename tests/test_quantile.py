@@ -1,5 +1,6 @@
 """Budget quantiles: a-priori bounds, binary search, degenerate thresholds."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from random import Random
 
@@ -33,6 +34,24 @@ def test_ln_upper_is_an_upper_bound():
 def test_ln_upper_rejects_small_values():
     with pytest.raises(ValueError):
         ln_upper(HALF)
+
+
+def test_ln_upper_reads_ints_and_floats_exactly():
+    # An int or float is the rational it equals, so it gets the same
+    # bound as the Fraction, memoized or not; ln is checked to 50 digits.
+    def decimal(x: Fraction) -> Decimal:
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
+    with localcontext() as context:
+        context.prec = 50
+        for value in (5, 7.0, 1000, Fraction(5)):
+            for bits in (64, 128):
+                bound = ln_upper(value, bits)
+                assert bound == ln_upper.__wrapped__(Fraction(value), bits)
+                assert decimal(bound) > decimal(Fraction(value)).ln()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ln_upper(HALF)
 
 
 def test_budget_bound_ingredients():
