@@ -8,12 +8,15 @@ formula's constant tail verdict. That truncation makes the search space
 finite and the optimum attainable by backward induction over the pairs.
 
 Below ``TOP`` the (state, cost) pairs form a graph whose only cycles
-cost zero, and every ``TOP`` pair has the tail value, so one pass of
-``linalg.strongly_connected`` from the initial pair both finds the
-reachable pairs and hands out their components with every successor
-component already resolved. Each pair's options come from the process's
-integer table (``CostProcess.int_table``): per action, the weight that
-reaches the target within the formula and the weighted edges to other
+cost zero, so the solver walks it level by level. A forward sweep finds
+the states each cost level reaches, closed under zero-cost edges; jumps
+past the budget seed the ``TOP`` set. Levels then resolve from the
+highest cost down, each level's reached components in the order of the
+process's zero-cost components (``IntTable.components``), so every value
+a component reads is already fixed. Each pair's options come from the
+process's integer table (``CostProcess.int_table``): per action, the
+weight that reaches the target within the formula, plus the weight that
+jumps to ``TOP`` times the tail verdict, and the weighted edges to other
 pairs, all ints over the table's denominator D.
 ``linalg.resolve_component`` then fixes each component on integers: a
 lone pair by its best action, a zero-cost cycle by exact policy
@@ -22,6 +25,14 @@ only on strict improvement, terminate because policies never repeat).
 Values stay reduced int pairs; the one ``Fraction`` is the answer's.
 Ties break toward the lowest canonical action index so schedulers are
 reproducible.
+
+Under ``x<=B`` the value and choice at (state, cost) depend only on the
+remaining budget r = B - cost: the epoch model of Hartmanns, Junges,
+Katoen and Quatmann (TACAS 2018). Such solves keep them per (state, r)
+in the process's ``epoch_table``, per mode, and later ``x<=B`` solves on
+the same object read them instead of resolving again. The table holds
+one (value, choice) per reached state and epoch, up to the largest
+``x<=B`` solved on that object. Other formulas walk the levels alone.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from .errors import (
     ThresholdRangeError,
 )
 from .formula import Formula, max_constant, normalize, parse
-from .linalg import resolve_component, strongly_connected
+from .linalg import resolve_component
 from .model import CostChain, CostProcess, build_chain, build_process, require_valid
 from .rational import parse_cost
 
@@ -315,57 +326,66 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     enabled = process.enabled
     table = process.int_table
     rows = table.rows
-    # Per (state, cost) pair and enabled action: the weight that reaches
-    # the target within the formula, and the weighted edges to other
-    # pairs, all ints over the table's denominator.
-    options: dict[tuple[str, int], list[tuple[int, list]]] = {}
 
-    def successors(pair: tuple[str, "int | str"]) -> list:
-        state, cost = pair
-        if cost == TOP:
-            return [
-                (succ, TOP)
-                for action_rows in rows[state]
-                for succ, _, _ in action_rows
-                if succ != target
-            ]
-        per_action = []
-        out = []
-        for action_rows in rows[state]:
-            const = 0
-            edges = []
-            for succ, step, weight in action_rows:
-                total = cost + step
-                if succ == target:
-                    if total in accept:
-                        const += weight
-                else:
-                    nxt = (succ, total if total <= budget else TOP)
-                    edges.append((nxt, weight))
-                    out.append(nxt)
-            per_action.append((const, edges))
-        options[pair] = per_action
-        return out
+    # Forward sweep: the states each cost level reaches, closed under
+    # zero-cost edges. Level budget + 1 is ``TOP``, closed under every edge.
+    top = budget + 1
+    levels: dict[int, dict[str, None]] = {0: {process.initial: None}}
+    pending = [0]
+    while pending:
+        cost = heapq.heappop(pending)
+        queue = list(levels[cost])
+        for state in queue:
+            for action_rows in rows[state]:
+                for succ, step, _ in action_rows:
+                    total = cost + step if cost + step < top else top
+                    if succ == target or succ in levels.setdefault(total, {}):
+                        continue
+                    if not levels[total]:
+                        heapq.heappush(pending, total)
+                    levels[total][succ] = None
+                    if total == cost:
+                        queue.append(succ)
+    beyond = levels.pop(top, {})
 
-    # Values are reduced (numerator, denominator) int pairs.
-    tail = (int(budget + 1 in accept), 1)
-    value: dict = {}
-    entries: dict[SchedulerKey, str] = {}
-    for component, cyclic in strongly_connected([(process.initial, 0)], successors):
-        if component[0][1] == TOP:
-            # Beyond the budget every continuation has the tail value, so
-            # the lowest-index action is the canonical choice.
-            for pair in component:
-                value[pair] = tail
-                if len(enabled[pair[0]]) > 1:
-                    entries[pair] = enabled[pair[0]][0]
-            continue
-        choices = resolve_component(
-            component, cyclic, options, value, mode, table.denominator
-        )
-        for pair, choice in zip(component, choices):
-            del options[pair]
-            if len(enabled[pair[0]]) > 1:
-                entries[pair] = enabled[pair[0]][choice]
-    numerator, denominator = value[(process.initial, 0)]
+    if accept.spans == ((0, budget),):
+        values, choices = process.epoch_table[mode]
+    else:
+        values, choices = {}, {}
+    # A run past the budget has the tail verdict whatever it does next, so
+    # its weight joins the constant and the lowest-index action is chosen.
+    tail = int(budget + 1 in accept)
+    entries: dict[SchedulerKey, str] = {
+        (state, TOP): enabled[state][0] for state in beyond if len(enabled[state]) > 1
+    }
+    for cost in sorted(levels, reverse=True):
+        # Vertices are (state, remaining budget) pairs; values are reduced
+        # (numerator, denominator) int pairs.
+        left = budget - cost
+        for index in sorted({table.component_of[state] for state in levels[cost]}):
+            members, cyclic = table.components[index]
+            if (members[0], left) not in choices:
+                options = {}
+                for state in members:
+                    per_action = []
+                    for action_rows in rows[state]:
+                        const = 0
+                        edges = []
+                        for succ, step, weight in action_rows:
+                            if succ == target:
+                                if cost + step in accept:
+                                    const += weight
+                            elif step > left:
+                                const += tail * weight
+                            else:
+                                edges.append(((succ, left - step), weight))
+                        per_action.append((const, edges))
+                    options[(state, left)] = per_action
+                keys = list(options)
+                resolved = resolve_component(keys, cyclic, options, values, mode, table.denominator)
+                choices.update(zip(keys, resolved))
+            for state in members:
+                if len(enabled[state]) > 1:
+                    entries[(state, cost)] = enabled[state][choices[(state, left)]]
+    numerator, denominator = values[(process.initial, budget)]
     return SolveResult(Fraction(numerator, denominator), Scheduler(budget, entries), mode)

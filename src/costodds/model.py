@@ -14,7 +14,8 @@ chain. Two structural assumptions make accumulated cost well defined:
 data rather than exceptions; solvers refuse processes whose report is not
 clean. Validation, chain-ness, acyclicity and the integer table
 (``CostProcess.int_table``) are cached per instance since models are
-immutable once built.
+immutable once built. So is ``CostProcess.epoch_table``, the one mutable
+cache: the levels that ``x<=B`` solves have resolved so far.
 """
 
 from __future__ import annotations
@@ -66,13 +67,19 @@ class IntTable(NamedTuple):
     ``rows[state]`` holds, per enabled action in canonical order, that
     action's distribution as (successor, cost, weight) rows with
     weight = prob·D. ``min_weight`` and ``max_cost`` are the smallest
-    weight and the largest cost over all rows.
+    weight and the largest cost over all rows. ``components`` are the
+    strongly connected components of the zero-cost edges that do not
+    enter the target, as (members, cyclic) in the order
+    ``strongly_connected`` emits them, so each follows every component it
+    reaches; ``component_of[state]`` is the index of the state's component.
     """
 
     denominator: int
     rows: Mapping[str, tuple[tuple[tuple[str, int, int], ...], ...]]
     min_weight: int
     max_cost: int
+    components: tuple[tuple[tuple[str, ...], bool], ...]
+    component_of: Mapping[str, int]
 
 
 @dataclass(frozen=True)
@@ -151,12 +158,29 @@ class CostProcess:
             for key in keys
         }
         every = [row for entries in per_key.values() for row in entries]
+        rows = {q: tuple(per_key[(q, a)] for a in self.enabled[q]) for q in self.states}
+        free = {
+            q: [s for entries in rows[q] for s, cost, _ in entries if not cost and s != self.target]
+            for q in self.states
+        }
+        components = tuple(
+            (tuple(members), cyclic)
+            for members, cyclic in strongly_connected(self.states, free.__getitem__)
+        )
         return IntTable(
             denominator,
-            {q: tuple(per_key[(q, a)] for a in self.enabled[q]) for q in self.states},
+            rows,
             min((weight for _, _, weight in every), default=denominator),
             max((cost for _, cost, _ in every), default=0),
+            components,
+            {q: index for index, (members, _) in enumerate(components) for q in members},
         )
+
+    @cached_property
+    def epoch_table(self) -> dict[str, tuple[dict, dict]]:
+        """Per mode, ``mdp_solver``'s values and choices of ``x<=B`` solves,
+        keyed by (state, remaining budget)."""
+        return {"max": ({}, {}), "min": ({}, {})}
 
     @cached_property
     def _chain(self) -> bool:
@@ -174,16 +198,17 @@ class CostProcess:
     @cached_property
     def _report(self) -> ValidationReport:
         findings: list[Finding] = []
-        for state in self.states:
-            for action in self.enabled[state]:
-                entries = self.transitions[(state, action)]
-                total = sum((e.prob for e in entries), Fraction(0))
-                if total != 1:
+        table = self.int_table
+        for state, per_action in table.rows.items():
+            for action, action_rows in zip(self.enabled[state], per_action):
+                total = sum(weight for _, _, weight in action_rows)
+                if total != table.denominator:
+                    total_prob = Fraction(total, table.denominator)
                     findings.append(
                         Finding(
                             "bad-distribution",
                             (state, action),
-                            f"probabilities sum to {format_rational(total)}, not 1",
+                            f"probabilities sum to {format_rational(total_prob)}, not 1",
                         )
                     )
 

@@ -1,9 +1,12 @@
 """Quantile queries: smallest budget that makes staying on budget likely enough.
 
-For a threshold below 1 the answer is found by binary search over the
-budget, using an a-priori bound: with p_min the smallest transition
-probability, k_max the largest cost and n the number of states, every
-scheduler satisfies P(K <= B) >= tau once
+For a threshold below 1 the answer is found by galloping through the
+budgets 0, 1, 3, 7, ... to the first that meets the threshold, then by
+bisection below it. Each probe is one ``x<=B`` solve on the same
+process object, which resolves only the epochs that earlier probes did
+not. The search never passes an a-priori bound: with p_min the smallest
+transition probability, k_max the largest cost and n the number of
+states, every scheduler satisfies P(K <= B) >= tau once
 
     B >= k_max * ceil(n * (L / p_min**n + 1)),   L >= -ln(1 - tau).
 
@@ -145,8 +148,9 @@ def quantile_query(
 ) -> "int | None":
     """Smallest budget B whose threshold query succeeds, or None for infinity.
 
-    For threshold < 1: binary search on [0, B_bound], one optimal solve
-    per probe; soundness of the upper end comes from the a-priori bound.
+    For threshold < 1: galloping from 0, then binary search, on
+    [0, B_bound], one optimal solve per probe; soundness of the upper end
+    comes from the a-priori bound, where the search needs no probe.
     At threshold 1 the answer is the optimal worst-case path cost:
     minimized over schedulers for "exists", maximized for "forall";
     None signals that a positive-cost cycle makes it unbounded.
@@ -161,11 +165,20 @@ def quantile_query(
         return _worst_case_cost(process, "min" if quantifier == "exists" else "max")
 
     solver = solve_max if quantifier == "exists" else solve_min
+
+    def meets(budget: int) -> bool:
+        return solver(process, parse(f"x<={budget}")).value >= threshold
+
+    # Gallop through 0, 1, 3, 7, ... up to the bound, which needs no probe,
+    # then bisect between the last miss and the first hit.
     upper = budget_upper_bound(process, threshold).B_bound
-    lo, hi = 0, upper
+    lo = probe = 0
+    while probe < upper and not meets(probe):
+        lo, probe = probe + 1, 2 * probe + 1
+    hi = min(probe, upper)
     while lo < hi:
         mid = (lo + hi) // 2
-        if solver(process, parse(f"x<={mid}")).value >= threshold:
+        if meets(mid):
             hi = mid
         else:
             lo = mid + 1

@@ -695,6 +695,17 @@ def random_branching_process(
     raise AssertionError("branching generator kept producing unusable models")
 
 
+def fresh(process: co.CostProcess) -> co.CostProcess:
+    """The same process as a new object: no cached validation, table or epochs.
+
+    Oracles that call the engine solve on such copies, so the epoch table
+    that earlier ``x<=B`` solves filled is never checked against itself.
+    """
+    return co.CostProcess(
+        process.states, process.initial, process.target, process.enabled, process.transitions
+    )
+
+
 def random_formula(rng: Random, max_bound: int = 6) -> co.CostFormula:
     """A small Boolean combination of budget atoms."""
 

@@ -25,6 +25,7 @@ from helpers import (
     choice_example,
     choice_points,
     chain_value_oracle,
+    fresh,
     mixed_denominator_process,
     optimal_value_oracle,
     random_branching_process,
@@ -440,7 +441,62 @@ def test_zero_cost_components_match_every_scheduler(text):
         assert chain_value_oracle(induced, formula) == result.value
 
 
+def assert_same_as_fresh(process, formula, solver):
+    result = solver(process, formula)
+    assert result == solver(fresh(process), formula)
+    return result
+
+
 def test_deep_pass_over_pairs():
     # 20 002 (state, cost) pairs in one chain of components.
     chain = co.build_chain([("q0", "q0", 1, HALF), ("q0", "t", 0, HALF)], "q0", "t")
     assert co.solve_max(chain, co.parse("x<=20000")).value == 1 - Fraction(1, 2**20001)
+    # The epoch table holds one entry per reached state and epoch, per mode,
+    # and later x<=B solves on the object add only epochs it lacks.
+    values, choices = chain.epoch_table["max"]
+    assert len(values) == len(choices) == 20001
+    assert chain.epoch_table["min"] == ({}, {})
+    for bound in (20000, 7, 20001, 0):
+        assert assert_same_as_fresh(chain, co.parse(f"x<={bound}"), co.solve_max).value == (
+            1 - Fraction(1, 2 ** (bound + 1))
+        )
+    assert len(values) == 20002
+    # Other formulas walk the levels with a table of their own.
+    assert_same_as_fresh(chain, co.parse("x>=3 & x<=9"), co.solve_max)
+    assert len(values) == 20002
+
+
+@pytest.mark.parametrize("order", ["descending", "ascending", "shuffled"])
+def test_epoch_table_answers_as_a_fresh_solve(order):
+    # One process object serves x<=B solves in every order, between other
+    # formulas and in both modes; each answer must equal a fresh object's.
+    rng = Random(f"epochs-{order}")
+    draws = [random_process, random_branching_process, mixed_denominator_process]
+    for trial in range(45):
+        process = draws[trial % 3](rng)
+        budgets = rng.sample(range(13), 6)
+        if order != "shuffled":
+            budgets.sort(reverse=order == "descending")
+        formulas = [co.parse(f"x<={b}") for b in budgets]
+        for _ in range(3):
+            formulas.insert(rng.randrange(len(formulas) + 1), random_formula(rng, 12))
+        for formula in formulas:
+            for solver in (co.solve_max, co.solve_min):
+                result = assert_same_as_fresh(process, formula, solver)
+                if trial % 5 == 0:
+                    check_optimal(process, formula, result)
+
+
+def test_epoch_table_on_zero_cost_cycles_and_at_the_target():
+    process = two_cycle_process()
+    for text in ("x<=3", "x<=0", "x<=5", "x>=2 & x<=4", "x<=2", "x<=6"):
+        for solver in (co.solve_max, co.solve_min):
+            formula = co.parse(text)
+            check_optimal(process, formula, assert_same_as_fresh(process, formula, solver))
+    base = choice_example()
+    at_target = co.CostProcess(base.states, "t", "t", base.enabled, base.transitions)
+    for bound in (4, 0, 2):
+        for solver in (co.solve_max, co.solve_min):
+            result = assert_same_as_fresh(at_target, co.parse(f"x<={bound}"), solver)
+            assert result.value == 1 and result.scheduler.entries == {}
+

@@ -80,6 +80,23 @@ def test_int_table_matches_the_transitions():
         assert table.max_cost == k_max
         bounds = co.budget_upper_bound(process, HALF)
         assert (bounds.p_min, bounds.k_max) == (p_min, k_max)
+        # The zero-cost components partition the states, and every zero-cost
+        # edge that stays off the target leads to the same or an earlier one.
+        members = [q for component, _ in table.components for q in component]
+        assert sorted(members) == sorted(process.states)
+        for index, (component, cyclic) in enumerate(table.components):
+            assert all(table.component_of[q] == index for q in component)
+            loops = any(
+                e.successor == q and e.cost == 0 and q != process.target
+                for q in component
+                for a in process.enabled[q]
+                for e in process.transitions[(q, a)]
+            )
+            assert cyclic == (len(component) > 1 or loops)
+        for q, a in process.transitions:
+            for e in process.transitions[(q, a)]:
+                if e.cost == 0 and e.successor != process.target:
+                    assert table.component_of[e.successor] <= table.component_of[q]
 
 
 def test_bad_distribution_finding():
@@ -88,6 +105,27 @@ def test_bad_distribution_finding():
     assert not report.ok
     assert [f.code for f in report.violations] == ["bad-distribution"]
     assert report.violations[0].subject == ("q0", "a")
+
+
+def test_bad_distribution_over_mixed_denominators():
+    # The check sums integer weights over D = 42; the message still names
+    # the exact sum 1/2 + 1/3 = 5/6.
+    process = co.build_process(
+        [
+            ("q0", "a", "t", 1, HALF),
+            ("q0", "a", "q1", 0, Fraction(1, 3)),
+            ("q0", "b", "t", 2, ONE),
+            ("q1", "a", "t", 0, Fraction(2, 7)),
+            ("q1", "a", "t", 1, Fraction(5, 7)),
+        ],
+        "q0",
+        "t",
+    )
+    assert process.int_table.denominator == 42
+    (finding,) = co.validate(process).violations
+    assert finding == co.Finding(
+        "bad-distribution", ("q0", "a"), "probabilities sum to 5/6, not 1"
+    )
 
 
 def test_bad_target_loop_finding():

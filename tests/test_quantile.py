@@ -1,5 +1,6 @@
-"""Budget quantiles: a-priori bounds, binary search, degenerate thresholds."""
+"""Budget quantiles: a-priori bounds, galloping search, degenerate thresholds."""
 
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from random import Random
@@ -13,7 +14,9 @@ from helpers import (
     HALF,
     ONE,
     choice_example,
+    fresh,
     geometric_chain,
+    mixed_denominator_process,
     random_chain,
     random_process,
     two_flip_chain,
@@ -134,6 +137,14 @@ def test_quantile_argument_checks():
         co.quantile_query(broken, HALF, "exists")
 
 
+def assert_smallest_budget(model, tau, quant, result):
+    solver = co.solve_max if quant == "exists" else co.solve_min
+    assert result is not None
+    assert solver(fresh(model), co.parse(f"x<={result}")).value >= tau
+    if result > 0:
+        assert solver(fresh(model), co.parse(f"x<={result - 1}")).value < tau
+
+
 def test_quantile_boundary_property_random_models():
     rng = Random(42)
     for trial in range(25):
@@ -143,28 +154,44 @@ def test_quantile_boundary_property_random_models():
             else random_process(rng, max_states=3, max_cost=2)
         )
         for tau in (Fraction(1, 4), HALF, Fraction(9, 10)):
-            for quant, solver in (("exists", co.solve_max), ("forall", co.solve_min)):
-                result = co.quantile_query(model, tau, quant)
-                assert result is not None
-                assert solver(model, co.parse(f"x<={result}")).value >= tau
-                if result > 0:
-                    assert solver(model, co.parse(f"x<={result - 1}")).value < tau
+            for quant in ("exists", "forall"):
+                assert_smallest_budget(model, tau, quant, co.quantile_query(model, tau, quant))
 
 
 def test_quantile_equals_linear_scan():
     rng = Random(43)
-    for trial in range(15):
-        model = (
-            random_chain(rng, max_states=3, max_cost=1)
-            if trial % 2
-            else random_process(rng, max_states=3, max_cost=1)
-        )
-        for tau in (Fraction(1, 4), HALF, Fraction(9, 10)):
+    models = [
+        random_chain(rng, max_states=3, max_cost=1)
+        if trial % 2
+        else random_process(rng, max_states=3, max_cost=1)
+        for trial in range(15)
+    ]
+    models += [mixed_denominator_process(rng) for _ in range(15)]
+    for model in models:
+        for tau in (Fraction(0), Fraction(1, 4), HALF, Fraction(9, 10)):
             for quant, solver in (("exists", co.solve_max), ("forall", co.solve_min)):
                 result = co.quantile_query(model, tau, quant)
                 scan = next(
                     b
                     for b in range(co.budget_upper_bound(model, tau).B_bound + 1)
-                    if solver(model, co.parse(f"x<={b}")).value >= tau
+                    if solver(fresh(model), co.parse(f"x<={b}")).value >= tau
                 )
                 assert result == scan
+
+
+def test_quantiles_on_wide_denominators_stop_near_the_answer():
+    # Bounds in the thousands to tens of thousands over answers below 8:
+    # bisecting from the middle of the bound took seconds to minutes per
+    # query here, where galloping from 0 takes milliseconds.
+    rng = Random(1)
+    for _ in range(5):
+        model = mixed_denominator_process(rng)
+    answers = {}
+    for tau in (Fraction(1, 4), HALF, Fraction(9, 10)):
+        assert co.budget_upper_bound(model, tau).B_bound > 5000
+        for quant in ("exists", "forall"):
+            start = time.perf_counter()
+            answers[(tau, quant)] = co.quantile_query(fresh(model), tau, quant)
+            assert time.perf_counter() - start < 2
+            assert_smallest_budget(model, tau, quant, answers[(tau, quant)])
+    assert list(answers.values()) == [0, 1, 1, 1, 2, 7]
