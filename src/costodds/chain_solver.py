@@ -11,9 +11,9 @@ of its probability denominators; per reachable state, the edges that
 leave its cost level or enter the target, as (successor, cost, weight)
 rows with weight = prob·D; and the zero-cost closure N = (I − Z)^-1 of
 the zero-cost subgraph Z, as int rows over one common denominator E, for
-the states that have zero-cost edges. The closure takes one pass of
-``linalg.strongly_connected`` and one fraction-free solve
-(``linalg.solve_linear_system``) per cyclic zero-cost component.
+the states that have zero-cost edges. The closure reads the chain's
+zero-cost components (``IntTable.components``) and takes one fraction-free
+solve (``linalg.solve_linear_system``) per cyclic one.
 
 The walk then visits cost levels in increasing order. Costs never
 decrease along a run, so mass flows from a level only to strictly higher
@@ -34,11 +34,11 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import NotAChainError
 from .formula import Formula, max_constant, normalize
-from .linalg import solve_linear_system, strongly_connected
+from .linalg import solve_linear_system
 from .model import CostChain, is_chain, require_valid
 
 __all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain"]
@@ -212,25 +212,28 @@ def _compile(chain: CostChain) -> tuple[int, _Rows, int, _Closure]:
             else:
                 row.append((succ, cost, weight))
         rows[q] = tuple(row)
-    closure_den, closure = _closure(zero, scale)
+    closure_den, closure = _closure(chain.int_table.components, zero, scale)
     return scale, rows, closure_den, closure
 
 
-def _closure(zero: dict[str, list[tuple[str, int]]], scale: int) -> tuple[int, _Closure]:
+def _closure(
+    components: Iterable, zero: dict[str, list[tuple[str, int]]], scale: int
+) -> tuple[int, _Closure]:
     """Rows of N = (I − Z)^-1 for the states with zero-cost edges, over E.
 
     Row q of N holds the expected visits to each state of a run that
     enters q and moves along zero-cost edges only:
-    N[q] = e_q + Σ (w/D)·N[u] over q's zero-cost edges (q, u, w). Tarjan
-    emits a component after every component it reaches, so the rows of
-    the states outside a component are known when it comes. Its members'
+    N[q] = e_q + Σ (w/D)·N[u] over q's zero-cost edges (q, u, w). The
+    table's ``components`` come after every component they reach, so the
+    rows outside a component are known when it comes. Its members'
     rows then solve D·N[q] − Σ_inside w·N[u] = D·e_q + Σ_outside w·N[u],
     scaled by the lcm L of the outside rows' denominators: directly for
     a lone state, by one fraction-free solve for a cyclic component. A
     state without zero-cost edges has the unit row and is left out.
+    Rows are reduced, so the order of a component's members is moot.
     """
     found: dict[str, tuple[int, dict[str, int], bool]] = {}
-    for members, cyclic in strongly_connected(zero, lambda q: [u for u, _ in zero.get(q, ())]):
+    for members, cyclic in components:
         if members[0] not in zero:
             continue
         index = {q: i for i, q in enumerate(members)}

@@ -23,6 +23,7 @@ from operator import itemgetter
 from typing import Final, Iterator
 
 from .errors import FormulaSyntaxError
+from .rational import _digits
 
 __all__ = [
     "Atom",
@@ -442,7 +443,7 @@ def to_text(formula: CostFormula) -> str:
         if isinstance(item, str):
             parts.append(item)
         elif isinstance(item, Atom):
-            parts.append(f"x<={item.bound}")
+            parts.append(f"x<={_digits(item.bound)}")
         elif isinstance(item, Not):
             parts.append("!")
             stack.extend(_grouped(item.inner, (And, Or)))

@@ -154,9 +154,11 @@ def count_parikh_paths(
     if source not in dfa.states or sink not in dfa.states:
         raise PreconditionError("source and sink must be DFA states")
     index = {letter: pos for pos, letter in enumerate(dfa.alphabet)}
-    outgoing: dict[str, list[tuple[int, str]]] = {state: [] for state in dfa.states}
-    for (state, letter), successor in sorted(dfa.transitions.items()):
-        outgoing[state].append((index[letter], successor))
+    # Successors in letter order, sorted only for the states the walk reaches.
+    by_source: dict[str, list[tuple[str, str]]] = {}
+    for (state, letter), successor in dfa.transitions.items():
+        by_source.setdefault(state, []).append((letter, successor))
+    outgoing: dict[str, list[tuple[int, str]]] = {}
     remaining = [0] * len(dfa.alphabet)
     for letter, count in budget.items():
         if count < 0:
@@ -183,6 +185,9 @@ def count_parikh_paths(
             key = (state, tuple(remaining))
             count = memo.get(key)
             if count is None:
+                if state not in outgoing:
+                    ordered = sorted(by_source.get(state, ()))
+                    outgoing[state] = [(index[letter], succ) for letter, succ in ordered]
                 frames.append([key, left, iter(outgoing[state]), 0, None])
         while frames:
             frame = frames[-1]

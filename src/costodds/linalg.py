@@ -1,9 +1,9 @@
 """Strongly connected components and the exact component kernel.
 
 ``strongly_connected`` is the package's one SCC routine: validation,
-the acyclicity test, the chain solver and the MDP solver's per-process
-zero-cost components call it. It emits each component after every
-component it reaches, so a solver that resolves components in that
+the acyclicity test and each process's zero-cost components, which the
+chain and MDP solvers both read, call it. It emits each component after
+every component it reaches, so a solver that resolves components in that
 order finds every value a component reads from outside already fixed. Inside
 a component the solvers' edges cost nothing, and ``resolve_component``
 optimizes it: a lone member without a zero-cost self-loop takes its

@@ -47,10 +47,10 @@ from .errors import (
     SchedulerGapError,
     ThresholdRangeError,
 )
-from .formula import Formula, max_constant, normalize, parse
+from .formula import Formula, _exactly, max_constant, normalize
 from .linalg import resolve_component
-from .model import CostChain, CostProcess, build_chain, build_process, require_valid
-from .rational import parse_cost
+from .model import CostChain, CostProcess, build_chain, require_valid
+from .rational import _digits, parse_cost
 
 __all__ = [
     "TOP",
@@ -160,7 +160,7 @@ def decide_qualitative(process: CostProcess, total: int) -> tuple[bool, Schedule
     """Can some scheduler make the accumulated cost equal ``total`` almost surely?"""
     if not isinstance(total, int) or isinstance(total, bool) or total < 0:
         raise ValueError(f"total must be a non-negative int, got {total!r}")
-    result = solve_max(process, parse(f"x={total}"))
+    result = solve_max(process, _exactly(total))
     return result.value == 1, result.scheduler
 
 
@@ -213,12 +213,12 @@ def induce_chain(process: CostProcess, scheduler: Scheduler) -> CostChain:
 def decide_cost_utility(process: CostProcess, cost_cap: int, goal: int) -> bool:
     """Almost-sure combined query: cost at most ``cost_cap`` and utility at least ``goal``.
 
-    Decided by ``solve_max`` under ``x<=cost_cap`` on a product process
-    whose states pair a state with its utility saturated at the goal.
-    Only pairs that some walk reaches within the cap are built; an
-    arrival at the target short of the goal, or an edge to a pair beyond
-    the cap, goes to the target at cost ``cost_cap + 1``, which no run
-    within the cap can pay.
+    Some scheduler must keep every support path to the target within the
+    cap while earning the goal: a min-max cost (``_min_max_cost``) from
+    the initial pair of a state and its utility saturated at the goal.
+    Only pairs that some walk reaches within the cap take part; arriving
+    at the target short of the goal, or stepping to a pair beyond the
+    cap, is worth the ceiling, which no run within the cap pays.
     """
     for label, bound in (("cost_cap", cost_cap), ("goal", goal)):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
@@ -244,18 +244,20 @@ def decide_cost_utility(process: CostProcess, cost_cap: int, goal: int) -> bool:
                     cheapest[pair] = total
                     heapq.heappush(heap, (total, pair))
 
+    # Finite min-max costs stay within pairs * k_max, and any past the cap
+    # loses, so every value below this ceiling is within the cap.
+    ceiling = min(cost_cap, len(cheapest) * process.int_table.max_cost) + 1
     goal_pair = (target, goal)
-    rows = []
+    graph: dict[tuple[str, int], list] = {}
     for state, utility in cheapest:
+        graph[(state, utility)] = per_action = []
         for action in process.enabled[state]:
-            for succ, step, prob, gain in process.transitions[(state, action)]:
+            per_action.append([])
+            for succ, step, _, gain in process.transitions[(state, action)]:
                 pair = (succ, min(utility + gain, goal))
-                if pair == goal_pair or pair in cheapest:
-                    rows.append(((state, utility), action, pair, step, prob))
-                else:
-                    rows.append(((state, utility), action, goal_pair, cost_cap + 1, prob))
-    product = build_process(rows, start, goal_pair)
-    return solve_max(product, parse(f"x<={cost_cap}")).value == 1
+                lost = pair != goal_pair and pair not in cheapest
+                per_action[-1].append((goal_pair, ceiling) if lost else (pair, step))
+    return _min_max_cost(graph, start, "min", ceiling) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +274,7 @@ def scheduler_to_json(scheduler: Scheduler) -> list[dict[str, str]]:
         return (state, 0, cost)  # type: ignore[return-value]
 
     return [
-        {"state": state, "cost": str(cost), "action": scheduler.entries[(state, cost)]}
+        {"state": state, "cost": _digits(cost), "action": scheduler.entries[(state, cost)]}
         for state, cost in sorted(scheduler.entries, key=order)
     ]
 
@@ -389,3 +391,35 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
                     entries[(state, cost)] = enabled[state][choices[(state, left)]]
     numerator, denominator = values[(process.initial, budget)]
     return SolveResult(Fraction(numerator, denominator), Scheduler(budget, entries), mode)
+
+
+def _min_max_cost(graph: Mapping, start: object, mode: str, ceiling: int) -> "int | None":
+    """Optimal worst-case cost from ``start`` until ``graph`` is left, or None if infinite.
+
+    ``graph`` maps a vertex to one list of (successor, cost) edges per
+    action; a successor outside it is worth 0. The value is the least
+    fixpoint of D(v) = opt_a max_edge (cost + D(succ)), opt "min" or
+    "max", by round-robin iteration from 0 with values capped at
+    ``ceiling``, which stands for infinity. Infinite runs have
+    probability zero, so zero-cost cycles add nothing.
+    """
+    dist = dict.fromkeys(graph, 0)
+    changed = True
+    while changed:
+        changed = False
+        for vertex, per_action in graph.items():
+            best = -1
+            for edges in per_action:
+                worst = 0
+                for succ, cost in edges:
+                    candidate = cost + dist.get(succ, 0)
+                    if candidate > worst:
+                        worst = candidate
+                if best < 0 or (worst < best if mode == "min" else worst > best):
+                    best = worst
+            if best > ceiling:
+                best = ceiling
+            if best != dist[vertex]:
+                dist[vertex] = best
+                changed = True
+    return None if dist[start] >= ceiling else dist[start]

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ModelFormatError, NotValidatedError
 from .linalg import strongly_connected
-from .rational import format_rational, parse_cost, parse_rational
+from .rational import _digits, format_rational, parse_cost, parse_rational
 
 __all__ = [
     "Transition",
@@ -474,9 +474,9 @@ def model_to_json(process: CostProcess) -> dict:
                 row = {"from": state}
                 if with_action:
                     row["action"] = action
-                row.update(to=entry.successor, cost=str(entry.cost))
+                row.update(to=entry.successor, cost=_digits(entry.cost))
                 if utilities:
-                    row["utility"] = str(entry.utility)
+                    row["utility"] = _digits(entry.utility)
                 row["prob"] = format_rational(entry.prob)
                 rows.append(row)
     return {

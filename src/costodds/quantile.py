@@ -14,7 +14,7 @@ Any rational upper bound L works, so ln is evaluated in exact dyadic
 arithmetic with directed upward rounding instead of floating point: the
 bound stays a bound, bit for bit. At tau = 1 probabilities stop
 mattering and the question degenerates to worst-case path cost, solved
-by an integer fixpoint on the control structure.
+by the integer fixpoint that ``decide_cost_utility`` also runs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ThresholdRangeError
-from .formula import parse
-from .mdp_solver import solve_max, solve_min
+from .formula import Atom
+from .mdp_solver import _min_max_cost, solve_max, solve_min
 from .model import CostProcess, require_valid
 
 __all__ = ["QuantileBounds", "budget_upper_bound", "quantile_query", "ln_upper"]
@@ -167,7 +167,7 @@ def quantile_query(
     solver = solve_max if quantifier == "exists" else solve_min
 
     def meets(budget: int) -> bool:
-        return solver(process, parse(f"x<={budget}")).value >= threshold
+        return solver(process, Atom(budget)).value >= threshold
 
     # Gallop through 0, 1, 3, 7, ... up to the bound, which needs no probe,
     # then bisect between the last miss and the first hit.
@@ -188,38 +188,14 @@ def quantile_query(
 def _worst_case_cost(process: CostProcess, mode: str) -> "int | None":
     """Optimal supremum of accumulated cost over the run support.
 
-    Least fixpoint of D(q) = opt_a max_succ (cost + D(succ)) with
-    D(target) = 0, over the integers capped just above |Q| * k_max:
-    finite values never exceed that product (zero-cost cycles add
-    nothing, and any finite-valued strategy avoids positive-cost cycles),
-    so crossing the cap proves the true value is infinite.
+    ``mdp_solver._min_max_cost`` on the states, where the target's free
+    self-loop keeps it at 0, capped just above |Q| * k_max: finite values
+    never exceed that product (zero-cost cycles add nothing, and a
+    finite-valued strategy avoids positive-cost cycles).
     """
-    target = process.target
-    _, k_max = _description_extremes(process)
-    cap = len(process.states) * k_max
-    infinite = cap + 1
-    dist = {q: 0 for q in process.states}
-    changed = True
-    while changed:
-        changed = False
-        for state in process.states:
-            if state == target:
-                continue
-            best: "int | None" = None
-            for action in process.enabled[state]:
-                worst = 0
-                for succ, cost, _, _ in process.transitions[(state, action)]:
-                    reach = dist[succ]
-                    candidate = infinite if reach >= infinite else cost + reach
-                    if candidate > worst:
-                        worst = candidate
-                if worst > infinite:
-                    worst = infinite
-                if best is None or (worst < best if mode == "min" else worst > best):
-                    best = worst
-            assert best is not None
-            if best != dist[state]:
-                dist[state] = best
-                changed = True
-    value = dist[process.initial]
-    return None if value >= infinite else value
+    graph = {
+        state: [[(succ, cost) for succ, cost, _ in edges] for edges in per_action]
+        for state, per_action in process.int_table.rows.items()
+    }
+    ceiling = len(process.states) * process.int_table.max_cost + 1
+    return _min_max_cost(graph, process.initial, mode, ceiling)

@@ -7,7 +7,9 @@ from exhaustive enumeration of scheduler assignments, witness checks
 from a separate Fraction elimination plus one Bellman step, path counts and
 game verdicts from direct recursion over the instance, Monte Carlo
 streams from a plain per-draw bit stream and step loop, and the chain
-solver's counters from its earlier Fraction level walk.
+solver's counters from its earlier Fraction level walk. Cost-utility
+verdicts are the exception: their reference is the earlier product
+construction decided by ``solve_max``, itself checked by the oracles.
 """
 
 from __future__ import annotations
@@ -718,6 +720,84 @@ def random_formula(rng: Random, max_bound: int = 6) -> co.CostFormula:
         other = leaf()
         formula = co.And(formula, other) if rng.random() < 0.5 else co.Or(formula, other)
     return formula
+
+
+# ---------------------------------------------------------------------------
+# Cost-utility reference and corpora
+
+
+def reference_cost_utility(process: co.CostProcess, cost_cap: int, goal: int) -> bool:
+    """``decide_cost_utility`` by ``solve_max`` under ``x<=cost_cap`` on a product.
+
+    Product states pair a state with its utility saturated at the goal;
+    only pairs that some walk reaches within the cap are built. An
+    arrival at the target short of the goal, or an edge to a pair beyond
+    the cap, goes to the target at cost ``cost_cap + 1``, which no run
+    within the cap can pay.
+    """
+    target = process.target
+    if process.initial == target:
+        return goal == 0
+    start = (process.initial, 0)
+    cheapest = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        cost, (state, utility) = heapq.heappop(heap)
+        if cost > cheapest[(state, utility)]:
+            continue
+        for action in process.enabled[state]:
+            for succ, step, _, gain in process.transitions[(state, action)]:
+                pair = (succ, min(utility + gain, goal))
+                total = cost + step
+                if succ != target and total < cheapest.get(pair, cost_cap + 1):
+                    cheapest[pair] = total
+                    heapq.heappush(heap, (total, pair))
+
+    goal_pair = (target, goal)
+    rows = []
+    for state, utility in cheapest:
+        for action in process.enabled[state]:
+            for succ, step, prob, gain in process.transitions[(state, action)]:
+                pair = (succ, min(utility + gain, goal))
+                if pair == goal_pair or pair in cheapest:
+                    rows.append(((state, utility), action, pair, step, prob))
+                else:
+                    rows.append(((state, utility), action, goal_pair, cost_cap + 1, prob))
+    product = co.build_process(rows, start, goal_pair)
+    return co.solve_max(product, co.Atom(cost_cap)).value == 1
+
+
+def with_utilities(rng: Random, process: co.CostProcess, top: int = 2) -> co.CostProcess:
+    """The same process with a utility in [0, top] drawn for every transition."""
+    rows = [
+        (state, action, entry.successor, entry.cost, entry.prob, rng.randint(0, top))
+        for state in process.states
+        if state != process.target
+        for action in process.enabled[state]
+        for entry in process.transitions[(state, action)]
+    ]
+    return co.build_process(rows, process.initial, process.target, process.states)
+
+
+def utility_loop_process(rng: Random, max_states: int = 4) -> co.CostProcess:
+    """A validated process whose actions pair a forward edge with a zero-cost
+    edge back to the same or an earlier state, each earning utility 0-2.
+
+    The forward edge keeps every end component away from the non-target
+    states, and the zero-cost back edges close free loops that earn utility.
+    """
+    names = [f"u{i}" for i in range(rng.randint(1, max_states))] + ["t"]
+    rows = []
+    for i, state in enumerate(names[:-1]):
+        for action in ("a", "b")[: rng.choice((1, 2))]:
+            forward = rng.choice((HALF, Fraction(1, 3), Fraction(2, 3)))
+            ahead = names[rng.randint(i + 1, len(names) - 1)]
+            back = names[rng.randint(0, i)]
+            rows.append((state, action, ahead, rng.randint(0, 3), forward, rng.randint(0, 2)))
+            rows.append((state, action, back, 0, 1 - forward, rng.randint(0, 2)))
+    process = co.build_process(rows, "u0", "t")
+    assert co.validate(process).ok
+    return process
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,18 @@ import pytest
 import costodds as co
 from costodds import NotValidatedError
 from costodds.gadgets import countdown_to_process, qualitative_to_cost_utility
-from helpers import HALF, ONE, choice_example, random_countdown
+from helpers import (
+    HALF,
+    ONE,
+    choice_example,
+    fresh,
+    mixed_denominator_process,
+    random_countdown,
+    random_process,
+    reference_cost_utility,
+    utility_loop_process,
+    with_utilities,
+)
 
 
 def test_costs_are_mirrored_onto_the_utility_track():
@@ -45,6 +56,31 @@ def test_random_countdown_gadgets_agree():
         lifted = qualitative_to_cost_utility(process, total)
         direct = co.decide_qualitative(process, total)[0]
         assert co.decide_cost_utility(lifted, total, total) is direct
+
+
+def test_verdicts_match_the_product_reference():
+    rng = Random(53)
+    corpora = [
+        lambda: with_utilities(rng, random_process(rng)),
+        lambda: with_utilities(rng, mixed_denominator_process(rng)),
+        lambda: with_utilities(rng, countdown_to_process(random_countdown(rng))[0]),
+        lambda: utility_loop_process(rng),
+    ]
+    for index in range(160):
+        process = corpora[index % len(corpora)]()
+        for _ in range(4):
+            cap, goal = rng.randint(0, 12), rng.randint(0, 6)
+            expected = reference_cost_utility(fresh(process), cap, goal)
+            assert co.decide_cost_utility(process, cap, goal) is expected, (index, cap, goal)
+
+
+def test_countdown_reductions_match_the_product_reference():
+    rng = Random(59)
+    for _ in range(40):
+        process, total = countdown_to_process(random_countdown(rng))
+        lifted = qualitative_to_cost_utility(process, total)
+        expected = reference_cost_utility(fresh(lifted), total, total)
+        assert co.decide_cost_utility(lifted, total, total) is expected
 
 
 def test_rejects_invalid_processes():

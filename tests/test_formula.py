@@ -1,5 +1,7 @@
 """Formula parsing, evaluation, and interval normalization."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,6 +119,13 @@ def test_interval_set_membership_and_subset():
 
 def test_max_constant_picks_largest_atom():
     assert co.max_constant(co.parse("x<=3 | x<=7 & !(x<=5)")) == 7
+
+
+def test_to_text_past_the_digit_cap(digit_cap):
+    huge = 10**5000
+    text = co.to_text(Not(Atom(huge)))
+    sys.set_int_max_str_digits(0)  # to build the expected text; the fixture restores it
+    assert text == f"!x<={huge}"
 
 
 def test_deep_hand_built_trees_need_no_recursion():

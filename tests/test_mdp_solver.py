@@ -1,6 +1,7 @@
 """Optimal scheduling over processes: values, witnesses, dual routes."""
 
 import itertools
+import sys
 import time
 from fractions import Fraction
 from random import Random
@@ -119,6 +120,16 @@ def test_decide_qualitative():
         co.decide_qualitative(sure, -1)
     with pytest.raises(ValueError):
         co.decide_qualitative(sure, True)
+
+
+def test_huge_totals_and_scheduler_costs_pass_the_digit_cap(digit_cap):
+    huge = 10**5000
+    sure = co.build_chain([("q0", "t", huge, ONE)], "q0", "t")
+    assert co.decide_qualitative(sure, huge)[0]
+    assert not co.decide_qualitative(sure, huge - 1)[0]
+    doc = co.scheduler_to_json(Scheduler(budget=huge, entries={("q1", huge): "a2"}))
+    sys.set_int_max_str_digits(0)  # to build the expected text; the fixture restores it
+    assert doc == [{"state": "q1", "cost": str(huge), "action": "a2"}]
 
 
 def test_solvers_reject_invalid_processes():
@@ -398,6 +409,21 @@ def test_cost_utility_cap_zero_prunes_a_huge_goal():
     assert not co.decide_cost_utility(process, 0, 10**9)
     assert time.perf_counter() - start < 1
     assert not co.decide_cost_utility(process, 0, 0)
+
+
+def test_cost_utility_huge_cap_on_a_positive_cost_loop():
+    # Action a pays 1 per lap of s until a fair coin leaves; b leaves at
+    # once for 3 and earns the only utility. A huge cap costs nothing.
+    rows = [
+        ("s", "a", "s", 1, HALF),
+        ("s", "a", "t", 1, HALF),
+        ("s", "b", "t", 3, ONE, 1),
+    ]
+    process = co.build_process(rows, "s", "t")
+    for goal, verdict in ((0, True), (1, True), (2, False)):
+        start = time.perf_counter()
+        assert co.decide_cost_utility(process, 10**9, goal) is verdict
+        assert time.perf_counter() - start < 1
 
 
 def test_cost_utility_argument_checks():

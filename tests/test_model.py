@@ -380,6 +380,14 @@ def test_probabilities_past_the_digit_cap_are_written_in_full(digit_cap):
     assert [row["prob"] for row in doc["transitions"][:2]] == [text, f"{2**15001 - 1}/{2**15001}"]
 
 
+def test_costs_and_utilities_past_the_digit_cap_are_written_in_full(digit_cap):
+    huge = 10**5000
+    process = co.build_process([("q0", "a", "t", huge, ONE, huge + 1)], "q0", "t")
+    row = co.model_to_json(process)["transitions"][0]
+    sys.set_int_max_str_digits(0)  # to build the expected text; the fixture restores it
+    assert (row["cost"], row["utility"]) == (str(huge), str(huge + 1))
+
+
 def test_cost_utility_round_trip_and_validation():
     process = co.build_process([("q0", "a", "t", 2, ONE, 3)], "q0", "t")
     assert co.validate(process).ok

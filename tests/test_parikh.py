@@ -149,11 +149,32 @@ def test_path_guard_aborts_runaway_walks(monkeypatch):
         count_parikh_paths(loop, "s", "s", {"a": 500})
 
 
-def test_long_letter_budgets_walk_without_recursion():
+def test_long_letter_budgets_walk_without_recursion(monkeypatch):
     # 400 sibling gates give p0 a budget of 1 201 letters, one search
     # level per letter: deeper than CPython's default recursion limit.
+    # The walk explores 1 204 partial paths, so that guard is the
+    # smallest that lets it finish.
     circuit = wide_sums(400)
-    assert count_for(circuit, "p0") == eval_circuit(circuit, "p0") == 1
+    dfa, budget, source, sink = circuit_to_dfa(circuit, "p0")
+    monkeypatch.setattr(parikh, "PATH_GUARD", 1204)
+    assert count_parikh_paths(dfa, source, sink, budget) == eval_circuit(circuit, "p0") == 1
+    monkeypatch.setattr(parikh, "PATH_GUARD", 1203)
+    with pytest.raises(GuardExceededError, match="partial paths"):
+        count_parikh_paths(dfa, source, sink, budget)
+
+
+@pytest.mark.parametrize(
+    ("gate", "count", "explored"), [("x", 2, 10), ("y", 4, 26), ("z", 8, 35), ("z2", 4, 46)]
+)
+def test_counts_and_smallest_guards_are_pinned(monkeypatch, gate, count, explored):
+    # ``explored`` partial paths per walk: the smallest guard that lets it finish.
+    tower = level_four_tower()
+    dfa, budget, source, sink = circuit_to_dfa(tower, gate)
+    monkeypatch.setattr(parikh, "PATH_GUARD", explored)
+    assert count_parikh_paths(dfa, source, sink, budget) == eval_circuit(tower, gate) == count
+    monkeypatch.setattr(parikh, "PATH_GUARD", explored - 1)
+    with pytest.raises(GuardExceededError, match="partial paths"):
+        count_parikh_paths(dfa, source, sink, budget)
 
 
 def test_gates_above_level_three_are_refused():

@@ -1,5 +1,6 @@
 """Budget quantiles: a-priori bounds, galloping search, degenerate thresholds."""
 
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -125,6 +126,15 @@ def test_quantile_threshold_one_is_worst_case_cost():
 def test_quantile_threshold_one_unbounded_chain():
     assert co.quantile_query(geometric_chain(), ONE, "exists") is None
     assert co.quantile_query(geometric_chain(), ONE, "forall") is None
+
+
+def test_quantile_answers_past_the_digit_cap(digit_cap):
+    # CPython's smallest cap keeps the search to about 2 100 galloping and
+    # 2 100 bisecting probes; the fixture restores the cap afterwards.
+    sys.set_int_max_str_digits(640)
+    answer = 10**640
+    chain = co.build_chain([("q0", "t", answer, ONE)], "q0", "t")
+    assert co.quantile_query(chain, HALF, "exists") == answer
 
 
 def test_quantile_argument_checks():
