@@ -9,8 +9,11 @@ finite and the optimum attainable by backward induction over the pairs.
 
 Below ``TOP`` the (state, cost) pairs form a graph whose only cycles
 cost zero, so the solver walks it level by level. A forward sweep finds
-the states each cost level reaches, closed under zero-cost edges; jumps
-past the budget seed the ``TOP`` set. Levels then resolve from the
+the states each cost level reaches, closed under zero-cost edges. Levels
+up to a budget do not depend on it, so the sweep is kept on the process
+(``CostProcess.reach_table``) for every formula, and a solve extends it
+only past the largest budget solved so far. Jumps past the budget seed
+the ``TOP`` set, closed under every edge. Levels then resolve from the
 highest cost down, each level's reached components in the order of the
 process's zero-cost components (``IntTable.components``), so every value
 a component reads is already fixed. Each pair's options come from the
@@ -32,12 +35,14 @@ Katoen and Quatmann (TACAS 2018). Such solves keep them per (state, r)
 in the process's ``epoch_table``, per mode, and later ``x<=B`` solves on
 the same object read them instead of resolving again. The table holds
 one (value, choice) per reached state and epoch, up to the largest
-``x<=B`` solved on that object. Other formulas walk the levels alone.
+``x<=B`` solved on that object. Other formulas share the sweep but
+resolve their levels afresh.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Final, Mapping
@@ -329,18 +334,16 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     table = process.int_table
     rows = table.rows
 
-    # Forward sweep: the states each cost level reaches, closed under
-    # zero-cost edges. Level budget + 1 is ``TOP``, closed under every edge.
-    top = budget + 1
-    levels: dict[int, dict[str, None]] = {0: {process.initial: None}}
-    pending = [0]
-    while pending:
+    # Resume the process's forward sweep up to the budget. A level popped
+    # from the heap is complete: every lower level has pushed its arrivals.
+    costs, levels, level_components, pending = process.reach_table
+    while pending and pending[0] <= budget:
         cost = heapq.heappop(pending)
         queue = list(levels[cost])
         for state in queue:
             for action_rows in rows[state]:
                 for succ, step, _ in action_rows:
-                    total = cost + step if cost + step < top else top
+                    total = cost + step
                     if succ == target or succ in levels.setdefault(total, {}):
                         continue
                     if not levels[total]:
@@ -348,7 +351,26 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
                     levels[total][succ] = None
                     if total == cost:
                         queue.append(succ)
-    beyond = levels.pop(top, {})
+        costs.append(cost)
+        level_components.append(sorted({table.component_of[state] for state in queue}))
+    count = bisect_right(costs, budget)
+
+    # Every jump past the budget leaves a level within the largest cost
+    # below it; the states it lands on seed ``TOP``, closed under every edge.
+    beyond: dict[str, None] = {}
+    for cost in costs[bisect_right(costs, budget - table.max_cost) : count]:
+        for state in levels[cost]:
+            for action_rows in rows[state]:
+                for succ, step, _ in action_rows:
+                    if cost + step > budget and succ != target:
+                        beyond[succ] = None
+    queue = list(beyond)
+    for state in queue:
+        for action_rows in rows[state]:
+            for succ, _, _ in action_rows:
+                if succ != target and succ not in beyond:
+                    beyond[succ] = None
+                    queue.append(succ)
 
     if accept.spans == ((0, budget),):
         values, choices = process.epoch_table[mode]
@@ -360,12 +382,13 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     entries: dict[SchedulerKey, str] = {
         (state, TOP): enabled[state][0] for state in beyond if len(enabled[state]) > 1
     }
-    for cost in sorted(levels, reverse=True):
+    for index in range(count - 1, -1, -1):
         # Vertices are (state, remaining budget) pairs; values are reduced
         # (numerator, denominator) int pairs.
+        cost = costs[index]
         left = budget - cost
-        for index in sorted({table.component_of[state] for state in levels[cost]}):
-            members, cyclic = table.components[index]
+        for component in level_components[index]:
+            members, cyclic = table.components[component]
             if (members[0], left) not in choices:
                 options = {}
                 for state in members:

@@ -14,8 +14,11 @@ chain. Two structural assumptions make accumulated cost well defined:
 data rather than exceptions; solvers refuse processes whose report is not
 clean. Validation, chain-ness, acyclicity and the integer table
 (``CostProcess.int_table``) are cached per instance since models are
-immutable once built. So is ``CostProcess.epoch_table``, the one mutable
-cache: the levels that ``x<=B`` solves have resolved so far.
+immutable once built. So are two mutable caches that ``mdp_solver``
+grows as it solves: ``CostProcess.reach_table``, the forward sweep over
+cost levels, completed up to the largest budget solved so far, and
+``CostProcess.epoch_table``, the levels that ``x<=B`` solves have
+resolved so far.
 """
 
 from __future__ import annotations
@@ -80,6 +83,22 @@ class IntTable(NamedTuple):
     max_cost: int
     components: tuple[tuple[tuple[str, ...], bool], ...]
     component_of: Mapping[str, int]
+
+
+class ReachTable(NamedTuple):
+    """``mdp_solver``'s forward sweep over cost levels, kept per process.
+
+    ``levels[cost]`` holds the states some run reaches at exactly that
+    cost, closed under zero-cost edges once the level is completed.
+    ``costs`` lists the completed levels in ascending order, and
+    ``components[i]`` level ``costs[i]``'s sorted ``IntTable.component_of``
+    indices. ``pending`` is the heap of levels reached but not completed.
+    """
+
+    costs: list[int]
+    levels: dict[int, dict[str, None]]
+    components: list[list[int]]
+    pending: list[int]
 
 
 @dataclass(frozen=True)
@@ -175,6 +194,12 @@ class CostProcess:
             components,
             {q: index for index, (members, _) in enumerate(components) for q in members},
         )
+
+    @cached_property
+    def reach_table(self) -> ReachTable:
+        """The forward sweep from the initial state at cost 0; ``mdp_solver``
+        completes its levels up to each budget it solves."""
+        return ReachTable([], {0: {self.initial: None}}, [], [0])
 
     @cached_property
     def epoch_table(self) -> dict[str, tuple[dict, dict]]:
@@ -316,14 +341,24 @@ def build_process(
 
     order.setdefault(initial)
     for state, action, successor, cost, prob, *extra in entries:
-        where = f"({state}, {action}) -> {successor}"
         (utility,) = extra or (0,)
         order.setdefault(state)
         order.setdefault(successor)
         enabled.setdefault(state, {}).setdefault(action)
         bucket = merged.setdefault((state, action), {})
-        key = (successor, _check_cost(cost, where), _check_cost(utility, where))
-        bucket[key] = bucket.get(key, Fraction(0)) + _check_prob(prob, where)
+        # Plain ints and Fractions in range are checked on ints alone; any
+        # other row takes the checks that name it in their messages.
+        if not (
+            type(cost) is int and type(utility) is int and type(prob) is Fraction
+            and cost >= 0 and utility >= 0 and 0 < prob.numerator <= prob.denominator
+        ):
+            where = f"({state}, {action}) -> {successor}"
+            _check_cost(cost, where)
+            _check_cost(utility, where)
+            prob = Fraction(0) + _check_prob(prob, where)
+        key = (successor, cost, utility)
+        prior = bucket.get(key)
+        bucket[key] = prob if prior is None else prior + prob
     order.setdefault(target)
 
     if target not in enabled:

@@ -526,3 +526,72 @@ def test_epoch_table_on_zero_cost_cycles_and_at_the_target():
             result = assert_same_as_fresh(at_target, co.parse(f"x<={bound}"), solver)
             assert result.value == 1 and result.scheduler.entries == {}
 
+
+def late_choice_process():
+    # q1 is reached only by the cost-5 jump from the initial level, and it
+    # chooses; q3 chooses too but is reached only from q1. So budgets below
+    # 5 meet both only past the budget, where the scheduler records their
+    # TOP choices.
+    return co.build_process(
+        [
+            ("q0", "a", "q1", 5, HALF),
+            ("q0", "a", "q4", 1, HALF),
+            ("q4", "a", "q4", 2, HALF),
+            ("q4", "a", "t", 0, HALF),
+            ("q1", "a1", "q3", 1, HALF),
+            ("q1", "a1", "t", 1, HALF),
+            ("q1", "a2", "q2", 0, ONE),
+            ("q2", "a", "q1", 0, HALF),
+            ("q2", "a", "t", 2, HALF),
+            ("q3", "b1", "t", 0, ONE),
+            ("q3", "b2", "t", 4, ONE),
+        ],
+        "q0",
+        "t",
+    )
+
+
+@pytest.mark.parametrize("order", ["descending", "ascending", "shuffled"])
+def test_reach_table_answers_as_a_fresh_sweep(order):
+    # One object's sweep serves budgets in any order and every formula;
+    # each answer, TOP entries included, equals a fresh object's.
+    process = late_choice_process()
+    budgets = list(range(13))
+    if order == "shuffled":
+        Random(14).shuffle(budgets)
+    elif order == "descending":
+        budgets.reverse()
+    texts = [f"x<={b}" for b in budgets]
+    for slot, text in zip((2, 6, 11), ("x>=3 & x<=9", "x<=2 | x>=6", "x>=5")):
+        texts.insert(slot, text)
+    for text in texts:
+        formula = co.parse(text)
+        for solver in (co.solve_max, co.solve_min):
+            result = assert_same_as_fresh(process, formula, solver)
+            check_optimal(process, formula, result)
+            if co.max_constant(formula) < 5:
+                assert set(result.scheduler.entries) == {("q1", TOP), ("q3", TOP)}
+
+
+def test_reach_table_completes_levels_only_up_to_the_largest_budget():
+    chain = co.build_chain(
+        [("q0", "q0", 2, HALF), ("q0", "q1", 1, HALF), ("q1", "t", 0, HALF), ("q1", "q0", 2, HALF)],
+        "q0",
+        "t",
+    )
+    reach = chain.reach_table
+    co.solve_max(chain, co.parse("x<=7"))
+    # Every state reached at each cost up to 7, by a walk over (state, cost).
+    expected: dict[int, set] = {}
+    frontier = [("q0", 0)]
+    while frontier:
+        state, cost = frontier.pop()
+        if state != "t" and cost <= 7 and state not in expected.setdefault(cost, set()):
+            expected[cost].add(state)
+            frontier += [(e.successor, cost + e.cost) for e in chain.transitions[(state, "a")]]
+    assert reach.costs == sorted(expected)
+    assert all(set(reach.levels[c]) == expected[c] for c in reach.costs)
+    assert min(reach.pending) > 7
+    snapshot = (list(reach.costs), list(reach.pending), {c: dict(s) for c, s in reach.levels.items()})
+    assert_same_as_fresh(chain, co.parse("x<=3"), co.solve_min)
+    assert (reach.costs, reach.pending, reach.levels) == snapshot

@@ -282,6 +282,44 @@ def test_build_rejects_bad_probabilities_and_costs():
         co.build_chain([("q0", "t", 1, 0.5)], "q0", "t")
 
 
+@pytest.mark.parametrize(
+    "cost, prob, utility",
+    [
+        (-1, HALF, 0),
+        (True, HALF, 0),
+        (1, HALF, -1),
+        (1, 0.5, 0),
+        (1, Fraction(0), 0),
+        (1, Fraction(3, 2), 0),
+    ],
+)
+def test_bad_rows_are_named_in_the_error(cost, prob, utility):
+    rows = [("q0", "a", "t", 1, HALF), ("q0", "a", "t", cost, prob, utility)]
+    with pytest.raises(ModelFormatError, match=r"\(q0, a\) -> t"):
+        co.build_process(rows, "q0", "t")
+
+
+def test_duplicate_rows_sum_exactly_whatever_the_probability_type():
+    class Share(Fraction):
+        pass
+
+    process = co.build_process(
+        [
+            ("q0", "a", "t", 1, Fraction(1, 3)),
+            ("q0", "a", "t", 1, Fraction(1, 6)),
+            ("q0", "a", "q1", 0, Share(1, 2)),
+            ("q1", "a", "t", 0, Fraction(1, 4)),
+            ("q1", "a", "t", 0, Share(3, 4)),
+        ],
+        "q0",
+        "t",
+    )
+    merged = [e.prob for entries in process.transitions.values() for e in entries]
+    assert merged == [HALF, HALF, ONE, ONE]
+    assert all(type(prob) is Fraction for prob in merged)
+    assert co.validate(process).ok
+
+
 def test_explicit_state_order_must_cover_everything():
     with pytest.raises(ModelFormatError):
         co.build_chain([("q0", "t", 1, ONE)], "q0", "t", states=["q0"])
