@@ -6,20 +6,21 @@ budget with all excess mass folded into a single overflow bucket, which is
 enough to evaluate any budget formula because verdicts are constant beyond
 the largest constant.
 
-Each call first compiles the chain to integers (``_compile``): D, the lcm
-of its probability denominators; per reachable state, the edges that
-leave its cost level or enter the target, as (successor, cost, weight)
-rows with weight = prob·D; and the zero-cost closure N = (I − Z)^-1 of
-the zero-cost subgraph Z, as int rows over one common denominator E, for
-the states that have zero-cost edges. The closure reads the chain's
-zero-cost components (``IntTable.components``) and takes one fraction-free
-solve (``linalg.solve_linear_system``) per cyclic one.
+The walk reads the chain's cached integer table (``CostProcess.int_table``):
+D, the lcm of every probability denominator, and per state its
+(successor, cost, weight) rows with weight = prob·D. Each call adds the
+zero-cost closure N = (I − Z)^-1 of the zero-cost subgraph Z, as int rows
+over one common denominator E, for the reachable states that have
+zero-cost edges. The closure reads the chain's zero-cost components
+(``IntTable.components``) and takes one fraction-free solve
+(``linalg.solve_linear_system``) per cyclic one.
 
 The walk then visits cost levels in increasing order. Costs never
 decrease along a run, so mass flows from a level only to strictly higher
 ones, except through zero-cost transitions, which the closure settles in
 one product: a level whose inflow touches a zero-cost state multiplies
-it by N. A pending level is one int denominator and a numerator per
+it by N, and the walk skips the zero-cost edges that do not enter the
+target. A pending level is one int denominator and a numerator per
 state. A flow n·w lands over den·D; numbers meeting with different
 denominators are rescaled by the quotient when one denominator divides
 the other, to their lcm otherwise. Levels are kept sparse (a heap of
@@ -34,17 +35,15 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import NotAChainError
 from .formula import Formula, max_constant, normalize
 from .linalg import solve_linear_system
-from .model import CostChain, is_chain, require_valid
+from .model import CostChain, IntTable, is_chain, require_valid
 
 __all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain"]
 
-# Per state: (successor, cost, weight) rows, weight = prob·D.
-_Rows = dict[str, tuple[tuple[str, int, int], ...]]
 # Per state with zero-cost edges: its row of N as numerators over E, and
 # whether a cyclic zero-cost component is reachable from it.
 _Closure = dict[str, tuple[dict[str, int], bool]]
@@ -122,7 +121,9 @@ def _walk(
         return mass, overflow, stats
 
     target = chain.target
-    scale, rows, closure_den, closure = _compile(chain)
+    table = chain.int_table
+    scale, rows = table.denominator, table.rows
+    closure_den, closure = _closure(chain, table)
     max_bits = 0
     pending: dict[int, list] = {0: [1, {chain.initial: 1}]}
     heap = [0]
@@ -151,13 +152,13 @@ def _walk(
         for q, n in visits.items():
             if n.bit_length() > max_bits:
                 max_bits = max(max_bits, (n // math.gcd(n, den)).bit_length())
-            for succ, cost, weight in rows[q]:
+            for succ, cost, weight in rows[q][0]:
                 total = level + cost
                 if total > budget:
                     spill += n * weight
                 elif succ == target:
                     hits[total] = hits.get(total, 0) + n * weight
-                else:
+                elif cost:
                     bucket = moves.get(total)
                     if bucket is None:
                         moves[total] = {succ: n * weight}
@@ -195,31 +196,8 @@ def _walk(
     return mass, overflow, stats
 
 
-def _compile(chain: CostChain) -> tuple[int, _Rows, int, _Closure]:
-    """D, the per-state rows, E and the zero-cost closure of a chain."""
-    target = chain.target
-    states = [q for q in chain.states if q in chain.reachable and q != target]
-    dist = {q: chain.transitions[(q, chain.enabled[q][0])] for q in states}
-    scale = math.lcm(*(e.prob.denominator for q in states for e in dist[q]))
-    rows: _Rows = {}
-    zero: dict[str, list[tuple[str, int]]] = {}
-    for q in states:
-        row = []
-        for succ, cost, prob, _ in dist[q]:
-            weight = prob.numerator * (scale // prob.denominator)
-            if cost == 0 and succ != target:
-                zero.setdefault(q, []).append((succ, weight))
-            else:
-                row.append((succ, cost, weight))
-        rows[q] = tuple(row)
-    closure_den, closure = _closure(chain.int_table.components, zero, scale)
-    return scale, rows, closure_den, closure
-
-
-def _closure(
-    components: Iterable, zero: dict[str, list[tuple[str, int]]], scale: int
-) -> tuple[int, _Closure]:
-    """Rows of N = (I − Z)^-1 for the states with zero-cost edges, over E.
+def _closure(chain: CostChain, table: IntTable) -> tuple[int, _Closure]:
+    """Rows of N = (I − Z)^-1 over E for reachable states with zero-cost edges.
 
     Row q of N holds the expected visits to each state of a run that
     enters q and moves along zero-cost edges only:
@@ -232,8 +210,15 @@ def _closure(
     state without zero-cost edges has the unit row and is left out.
     Rows are reduced, so the order of a component's members is moot.
     """
+    target = chain.target
+    scale = table.denominator
+    zero: dict[str, list[tuple[str, int]]] = {}
+    for q in chain.reachable:
+        edges = [(succ, w) for succ, cost, w in table.rows[q][0] if not cost and succ != target]
+        if edges:
+            zero[q] = edges
     found: dict[str, tuple[int, dict[str, int], bool]] = {}
-    for members, cyclic in components:
+    for members, cyclic in table.components:
         if members[0] not in zero:
             continue
         index = {q: i for i, q in enumerate(members)}

@@ -351,7 +351,10 @@ def circuit_from_json(data: object) -> ArithmeticCircuit:
     if not isinstance(raw_outputs, list):
         raise ModelFormatError("'outputs' must be an array")
     outputs = tuple(_gate_id(ref, -1) for ref in raw_outputs)
-    return make_circuit(rows, outputs)
+    try:
+        return make_circuit(rows, outputs)
+    except PreconditionError as exc:
+        raise ModelFormatError(str(exc)) from exc
 
 
 def _gate_id(value: object, pos: int) -> str:

@@ -4,16 +4,18 @@ Randomness comes from a counter-based construction: sample i of seed s
 reads bits from SHA-256(s, i, 0), SHA-256(s, i, 1), ... so samples are
 reproducible bit for bit and independent of evaluation order. Rational
 transition probabilities are resolved by drawing a uniform integer
-below the distribution's common denominator, by rejection on draws of
-its bit width; no floats touch the draw.
+below the distribution's own denominator, D over the gcd of D and its
+``int_table`` weights, by rejection on draws of its bit width; no floats
+touch the draw.
 
 ``sample_run`` and ``estimate`` share one kernel, ``_runs``. It walks
 each run with the bit buffer of the current sample in local variables
-and a per-state table compiled once per call, so a step costs a table
-lookup, a scheduler lookup at choice states, and a digest only when
-the buffer runs dry. The streams are part of the interface: the kernel
-may change how it reads bits, never which bits a draw takes
-(``tests/helpers.reference_run`` is the plain reading it must match).
+and a per-state table read off the process's cached ``int_table``, so a
+step costs a table lookup, a scheduler lookup at choice states, and a
+digest only when the buffer runs dry. The streams are part of the
+interface: the kernel may change how it reads bits, never which bits a
+draw takes (``tests/helpers.reference_run`` is the plain reading it must
+match).
 """
 
 from __future__ import annotations
@@ -129,18 +131,21 @@ def _check_word(name: str, value: int) -> None:
 
 
 def _compile(process: CostProcess) -> dict[str, _Row]:
-    """Per state: its only action's distribution, or a map over its actions."""
+    """Per state: its only action's distribution, or a map over its actions;
+    each draws over D // g, g = gcd(D, *weights), in steps of weight // g."""
+    denominator = process.int_table.denominator
     table: dict[str, _Row] = {}
-    for state, actions in process.enabled.items():
+    for state, per_action in process.int_table.rows.items():
+        actions = process.enabled[state]
         dists: dict[str, _Dist] = {}
-        for action in actions:
-            entries = process.transitions[(state, action)]
-            den = math.lcm(*(entry.prob.denominator for entry in entries))
+        for action, entries in zip(actions, per_action):
+            g = math.gcd(denominator, *(weight for _, _, weight in entries))
+            den = denominator // g
             acc = 0
             rows = []
-            for entry in entries:
-                acc += entry.prob.numerator * (den // entry.prob.denominator)
-                rows.append((acc, entry.successor, entry.cost))
+            for successor, cost, weight in entries:
+                acc += weight // g
+                rows.append((acc, successor, cost))
             width = (den - 1).bit_length()
             dists[action] = (den, width, (1 << width) - 1, tuple(rows))
         table[state] = (dists[actions[0]], None) if len(actions) == 1 else (None, dists)

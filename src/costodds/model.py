@@ -75,6 +75,8 @@ class IntTable(NamedTuple):
     enter the target, as (members, cyclic) in the order
     ``strongly_connected`` emits them, so each follows every component it
     reaches; ``component_of[state]`` is the index of the state's component.
+
+    Validation, ``mdp_solver``, ``chain_solver`` and ``mc`` all read it.
     """
 
     denominator: int

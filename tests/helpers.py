@@ -75,6 +75,21 @@ def zero_loop_chain() -> co.CostChain:
     )
 
 
+# A zero-cost cycle q0-q1 with exits at three costs, and an unreachable
+# state u whose probabilities have a 2^301 denominator: the chain's
+# int_table spans u too, so its D is 3·2^301 while the reachable
+# states' probabilities need only 6. Rows are (state, successor, cost, prob).
+UNREACHABLE_WIDE_ROWS = [
+    ("q0", "q1", 0, HALF),
+    ("q0", "t", 1, HALF),
+    ("q1", "q0", 0, Fraction(1, 3)),
+    ("q1", "q1", 1, Fraction(1, 3)),
+    ("q1", "t", 2, Fraction(1, 3)),
+    ("u", "q0", 0, Fraction(2**300 + 1, 2**301)),
+    ("u", "t", 3, Fraction(2**300 - 1, 2**301)),
+]
+
+
 # Level 0 of this process is an acyclic prefix (s0, s1) feeding two
 # disjoint zero-cost cycles (a0-a1, b0-b1) and a zero-cost self-loop (c),
 # with choices inside the cycles and at c; c's second action climbs to

@@ -18,6 +18,7 @@ from costodds.linalg import solve_linear_system
 from helpers import (
     HALF,
     ONE,
+    UNREACHABLE_WIDE_ROWS,
     chain_distribution_oracle,
     chain_value_oracle,
     choice_example,
@@ -171,6 +172,13 @@ def test_integer_walk_matches_the_fraction_walk():
             assert co.solve_chain(chain, co.Not(co.Atom(budget))) == dist.overflow
             solves += dist.stats["linear_solves"]
     assert solves > 400
+    # D spans the unreachable state's 2^301 denominator too.
+    chain = co.build_chain(UNREACHABLE_WIDE_ROWS, "q0", "t")
+    assert chain.int_table.denominator == 3 * 2**301
+    for budget in (0, 1, 7, 40):
+        dist = co.cost_distribution(chain, budget)
+        assert_same_walk(dist, reference_cost_distribution(chain, budget))
+        assert co.solve_chain(chain, co.Not(co.Atom(budget))) == dist.overflow
 
 
 def test_fixed_chains_match_the_fraction_walk():

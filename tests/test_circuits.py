@@ -201,6 +201,9 @@ def test_json_integer_ids_are_coerced():
         {"gates": [{"id": None, "kind": "one"}]},
         {"gates": [{"id": "g", "kind": "one", "inputs": "xx"}]},
         {"gates": [{"id": "g", "kind": "one"}], "outputs": "g"},
+        # Well-typed fields that break normal form.
+        {"gates": [{"id": "g", "kind": "plus", "inputs": ["g", "g"]}]},
+        {"gates": [{"id": "g", "kind": "one"}], "outputs": ["h"]},
     ],
 )
 def test_json_rejects_malformed_documents(doc):

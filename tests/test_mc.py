@@ -12,6 +12,7 @@ from costodds.mc import estimate, sample_run
 from helpers import (
     HALF,
     ONE,
+    UNREACHABLE_WIDE_ROWS,
     choice_example,
     geometric_chain,
     random_formula,
@@ -181,8 +182,10 @@ def test_costs_past_the_budget_follow_the_top_entry():
             ("q0", "t", 2, Fraction(WIDE - 2**299, WIDE)),
         ],
         [("q0", "q0", 1, Fraction(1, WIDE)), ("q0", "t", 2, Fraction(WIDE - 1, WIDE))],
+        # D = 3·2^301 from an unreachable state; reachable draws stay at 2 and 3.
+        UNREACHABLE_WIDE_ROWS,
     ],
-    ids=["den-1", "den-3", "wide-coin", "wide-complement"],
+    ids=["den-1", "den-3", "wide-coin", "wide-complement", "unreachable-wide"],
 )
 def test_streams_match_the_reference_on_every_draw_width(rows):
     chain = co.build_chain(rows, "q0", "t")
