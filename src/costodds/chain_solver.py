@@ -7,11 +7,12 @@ enough to evaluate any budget formula because verdicts are constant beyond
 the largest constant.
 
 The walk reads the chain's cached integer table (``CostProcess.int_table``):
-D, the lcm of every probability denominator, and per state its
-(successor, cost, weight) rows with weight = prob·D. Each call adds the
-zero-cost closure N = (I − Z)^-1 of the zero-cost subgraph Z, as int rows
-over one common denominator E, for the reachable states that have
-zero-cost edges. The closure reads the chain's zero-cost components
+per state its denominator D_q, the lcm of its probability denominators,
+and its (successor, cost, weight) rows with weight = prob·D_q. Each call
+takes D, the lcm of the reachable states' D_q, so a state that no run
+reaches widens no number. It adds the zero-cost closure N = (I − Z)^-1
+of the zero-cost subgraph Z, as int rows over one common denominator E,
+for the reachable states that have zero-cost edges. The closure reads the chain's zero-cost components
 (``IntTable.components``) and takes one fraction-free solve
 (``linalg.solve_linear_system``) per cyclic one.
 
@@ -21,9 +22,9 @@ ones, except through zero-cost transitions, which the closure settles in
 one product: a level whose inflow touches a zero-cost state multiplies
 it by N, and the walk skips the zero-cost edges that do not enter the
 target. A pending level is one int denominator and a numerator per
-state. A flow n·w lands over den·D; numbers meeting with different
-denominators are rescaled by the quotient when one denominator divides
-the other, to their lcm otherwise. Levels are kept sparse (a heap of
+state. A flow from q lands over den·D as n·(D/D_q)·w; numbers meeting
+with different denominators are rescaled by the quotient when one
+denominator divides the other, to their lcm otherwise. Levels are kept sparse (a heap of
 occupied levels), so huge budgets with few reachable cost values stay
 cheap. Fractions appear only at the boundary: one per mass entry and one
 for the overflow, or one accepted total in ``solve_chain``.
@@ -122,7 +123,8 @@ def _walk(
 
     target = chain.target
     table = chain.int_table
-    scale, rows = table.denominator, table.rows
+    rows = table.rows
+    scale = math.lcm(*(rows[q][0][0] for q in chain.reachable))
     closure_den, closure = _closure(chain, table)
     max_bits = 0
     pending: dict[int, list] = {0: [1, {chain.initial: 1}]}
@@ -152,7 +154,10 @@ def _walk(
         for q, n in visits.items():
             if n.bit_length() > max_bits:
                 max_bits = max(max_bits, (n // math.gcd(n, den)).bit_length())
-            for succ, cost, weight in rows[q][0]:
+            own, entries = rows[q][0]
+            if own != scale:
+                n *= scale // own
+            for succ, cost, weight in entries:
                 total = level + cost
                 if total > budget:
                     spill += n * weight
@@ -201,22 +206,22 @@ def _closure(chain: CostChain, table: IntTable) -> tuple[int, _Closure]:
 
     Row q of N holds the expected visits to each state of a run that
     enters q and moves along zero-cost edges only:
-    N[q] = e_q + Σ (w/D)·N[u] over q's zero-cost edges (q, u, w). The
+    N[q] = e_q + Σ (w/D_q)·N[u] over q's zero-cost edges (q, u, w). The
     table's ``components`` come after every component they reach, so the
     rows outside a component are known when it comes. Its members'
-    rows then solve D·N[q] − Σ_inside w·N[u] = D·e_q + Σ_outside w·N[u],
+    rows then solve D_q·N[q] − Σ_inside w·N[u] = D_q·e_q + Σ_outside w·N[u],
     scaled by the lcm L of the outside rows' denominators: directly for
     a lone state, by one fraction-free solve for a cyclic component. A
     state without zero-cost edges has the unit row and is left out.
     Rows are reduced, so the order of a component's members is moot.
     """
     target = chain.target
-    scale = table.denominator
-    zero: dict[str, list[tuple[str, int]]] = {}
+    zero: dict[str, tuple[int, list[tuple[str, int]]]] = {}
     for q in chain.reachable:
-        edges = [(succ, w) for succ, cost, w in table.rows[q][0] if not cost and succ != target]
+        own, entries = table.rows[q][0]
+        edges = [(succ, w) for succ, cost, w in entries if not cost and succ != target]
         if edges:
-            zero[q] = edges
+            zero[q] = own, edges
     found: dict[str, tuple[int, dict[str, int], bool]] = {}
     for members, cyclic in table.components:
         if members[0] not in zero:
@@ -225,7 +230,7 @@ def _closure(chain: CostChain, table: IntTable) -> tuple[int, _Closure]:
         outside = {
             u: found.get(u) or (1, {u: 1}, False)
             for q in members
-            for u, _ in zero[q]
+            for u, _ in zero[q][1]
             if u not in index
         }
         lcm_out = math.lcm(*(den for den, _, _ in outside.values()))
@@ -236,9 +241,10 @@ def _closure(chain: CostChain, table: IntTable) -> tuple[int, _Closure]:
         matrix = [[0] * len(members) for _ in members]
         rhs = [[0] * len(columns) for _ in members]
         for i, q in enumerate(members):
-            matrix[i][i] += scale
-            rhs[i][i] += scale * lcm_out
-            for u, w in zero[q]:
+            own, edges = zero[q]
+            matrix[i][i] += own
+            rhs[i][i] += own * lcm_out
+            for u, w in edges:
                 j = index.get(u)
                 if j is not None:
                     matrix[i][j] -= w
@@ -247,7 +253,7 @@ def _closure(chain: CostChain, table: IntTable) -> tuple[int, _Closure]:
                 factor = w * (lcm_out // den)
                 for r, c in entries.items():
                     rhs[i][columns[r]] += factor * c
-        det, solution = solve_linear_system(matrix, rhs) if cyclic else (scale, rhs)
+        det, solution = solve_linear_system(matrix, rhs) if cyclic else (own, rhs)
         looped = cyclic or any(flag for _, _, flag in outside.values())
         for q, values in zip(members, solution):
             g = math.gcd(det * lcm_out, *values)

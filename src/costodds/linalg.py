@@ -10,18 +10,18 @@ optimizes it: a lone member without a zero-cost self-loop takes its
 best action directly, a cyclic component runs policy iteration whose
 evaluations are square linear systems.
 
-The kernel runs on integers. Constants and edge weights are ints over
-one common denominator, and every value is a reduced (numerator,
-denominator) int pair. An action's value is summed term by term with
-Henrici's rule, as ``fractions`` adds, so each gcd sees at most one
-value's denominator; putting all terms over one common denominator
-instead would leave a gcd of the whole sum, which on wide-denominator
-processes reaches numerators of 10^5 bits. Floating point is never
-acceptable, and the package has one exact solve: ``solve_linear_system``,
-fraction-free Gauss-Jordan (Bareiss 1968) on integer systems with any
-number of right-hand sides. The chain solver's zero-cost closure calls
-it once per cyclic component; policy evaluation scales each row to
-integers and calls it with one column. Systems stay small: one row per
+The kernel runs on integers. Each action's constant and edge weights
+are ints over that action's own denominator, and every value is a
+reduced (numerator, denominator) int pair. An action's value is summed
+term by term with Henrici's rule, as ``fractions`` adds, so each gcd
+sees at most one value's denominator; putting all terms over one common
+denominator instead would leave a gcd of the whole sum, which on
+wide-denominator processes reaches numerators of 10^5 bits. Floating
+point is never acceptable, and the package has one exact solve:
+``solve_linear_system``, fraction-free Gauss-Jordan (Bareiss 1968) on
+integer systems with any number of right-hand sides. The chain solver's
+zero-cost closure calls it once per cyclic component; policy evaluation
+scales each row to integers and calls it with one column. Systems stay small: one row per
 member of the component.
 """
 
@@ -92,22 +92,20 @@ def resolve_component(
     options: Mapping,
     values: MutableMapping,
     mode: str,
-    scale: int,
 ) -> list[int]:
     """Optimize one strongly connected component whose internal edges cost zero.
 
     Args:
         members, cyclic: the component, as ``strongly_connected`` emits it.
-        options: per member, one (constant, edges) pair per enabled
-            action in canonical order; edges are (vertex, weight) pairs.
-            Constants and weights are ints over ``scale``: an action's
-            value is (constant + Σ weight·value) / scale.
+        options: per member, one (constant, edges, scale) triple per
+            enabled action in canonical order; edges are (vertex, weight)
+            pairs. The constant and weights are ints over the action's
+            ``scale``: its value is (constant + Σ weight·value) / scale.
         values: the value of every vertex outside the component that an
             edge names, as a reduced (numerator, denominator) int pair
             with a positive denominator; the members' optimal values are
             written into it the same way.
         mode: "max" or "min".
-        scale: the common denominator of constants and weights.
 
     Returns:
         Per member, the index of its lowest-index optimal action.
@@ -119,7 +117,7 @@ def resolve_component(
     """
     if not cyclic:
         q = members[0]
-        values[q], choice = _best(options[q], values, mode, scale)
+        values[q], choice = _best(options[q], values, mode)
         return [choice]
 
     choosing = [q for q in members if len(options[q]) > 1]
@@ -127,10 +125,10 @@ def resolve_component(
     lowest = dict(policy)
     improved = True
     while improved:
-        _evaluate_policy(members, options, policy, values, scale)
+        _evaluate_policy(members, options, policy, values)
         improved = False
         for q in choosing:
-            best, lowest[q] = _best(options[q], values, mode, scale)
+            best, lowest[q] = _best(options[q], values, mode)
             # The policy's action attains values[q], so any other best is
             # a strict improvement.
             if best != values[q]:
@@ -140,20 +138,17 @@ def resolve_component(
     return [lowest[q] for q in members]
 
 
-def _best(
-    per_action: list, values: Mapping, mode: str, scale: int
-) -> tuple[tuple[int, int], int]:
+def _best(per_action: list, values: Mapping, mode: str) -> tuple[tuple[int, int], int]:
     """The optimal action value as a reduced pair, and the lowest index attaining it.
 
     Each action's sum constant + Σ weight·value is kept reduced term by
     term, as ``fractions`` adds: Henrici's rule takes the gcd of the two
     denominators, then of the new numerator against that gcd alone, so
     no gcd ever sees a whole product of denominators. Actions compare by
-    cross-multiplication; only the winner is divided by ``scale``.
+    cross-multiplication; only the winner is divided by its ``scale``.
     """
-    best_num = best_den = 0
-    best_index = 0
-    for index, (num, edges) in enumerate(per_action):
+    best_num = best_den = best_scale = best_index = 0
+    for index, (num, edges, scale) in enumerate(per_action):
         den = 1
         for succ, weight in edges:
             n, d = values[succ]
@@ -175,30 +170,32 @@ def _best(
                 t = num * (d // g) + n * s
                 g2 = gcd(t, g)
                 num, den = (t, s * d) if g2 == 1 else (t // g2, s * (d // g2))
+        den *= scale
         if not index or (
             num * best_den > best_num * den if mode == "max" else num * best_den < best_num * den
         ):
-            best_num, best_den, best_index = num, den, index
+            best_num, best_den, best_scale, best_index = num, den, scale, index
     # The sum is reduced, so only the part of the scale it shares can cancel.
-    g = gcd(best_num, scale)
-    return (best_num // g, best_den * (scale // g)), best_index
+    g = gcd(best_num, best_scale)
+    return (best_num // g, best_den // g), best_index
 
 
 def _evaluate_policy(
-    members: list, options: Mapping, policy: Mapping, values: MutableMapping, scale: int
+    members: list, options: Mapping, policy: Mapping, values: MutableMapping
 ) -> None:
     """Write the values of ``policy`` on the component's members.
 
-    Each member's row x_q = (constant + Σ weight·x) / scale is multiplied
-    by scale·L, where L is the lcm of the denominators of the outside
-    values it reads, so every coefficient is an int.
+    Each member's row x_q = (constant + Σ weight·x) / scale, over its
+    policy action's scale, is multiplied by scale·L, where L is the lcm
+    of the denominators of the outside values it reads, so every
+    coefficient is an int.
     """
     size = len(members)
     index = {q: i for i, q in enumerate(members)}
     matrix = []
     rhs = []
     for i, q in enumerate(members):
-        const, edges = options[q][policy[q]]
+        const, edges, scale = options[q][policy[q]]
         row = [0] * size
         row[i] = scale
         outside = []

@@ -4,9 +4,9 @@ Randomness comes from a counter-based construction: sample i of seed s
 reads bits from SHA-256(s, i, 0), SHA-256(s, i, 1), ... so samples are
 reproducible bit for bit and independent of evaluation order. Rational
 transition probabilities are resolved by drawing a uniform integer
-below the distribution's own denominator, D over the gcd of D and its
-``int_table`` weights, by rejection on draws of its bit width; no floats
-touch the draw.
+below the distribution's own denominator, the D_a its ``int_table`` row
+carries, by rejection on draws of its bit width; no floats touch the
+draw.
 
 ``sample_run`` and ``estimate`` share one kernel, ``_runs``. It walks
 each run with the bit buffer of the current sample in local variables
@@ -132,19 +132,16 @@ def _check_word(name: str, value: int) -> None:
 
 def _compile(process: CostProcess) -> dict[str, _Row]:
     """Per state: its only action's distribution, or a map over its actions;
-    each draws over D // g, g = gcd(D, *weights), in steps of weight // g."""
-    denominator = process.int_table.denominator
+    each draws over its D_a in steps of its weights."""
     table: dict[str, _Row] = {}
     for state, per_action in process.int_table.rows.items():
         actions = process.enabled[state]
         dists: dict[str, _Dist] = {}
-        for action, entries in zip(actions, per_action):
-            g = math.gcd(denominator, *(weight for _, _, weight in entries))
-            den = denominator // g
+        for action, (den, entries) in zip(actions, per_action):
             acc = 0
             rows = []
             for successor, cost, weight in entries:
-                acc += weight // g
+                acc += weight
                 rows.append((acc, successor, cost))
             width = (den - 1).bit_length()
             dists[action] = (den, width, (1 << width) - 1, tuple(rows))

@@ -20,7 +20,7 @@ a component reads is already fixed. Each pair's options come from the
 process's integer table (``CostProcess.int_table``): per action, the
 weight that reaches the target within the formula, plus the weight that
 jumps to ``TOP`` times the tail verdict, and the weighted edges to other
-pairs, all ints over the table's denominator D.
+pairs, all ints over that action's own denominator D_a.
 ``linalg.resolve_component`` then fixes each component on integers: a
 lone pair by its best action, a zero-cost cycle by exact policy
 iteration (evaluate a policy with one fraction-free linear solve, switch
@@ -341,7 +341,7 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
         cost = heapq.heappop(pending)
         queue = list(levels[cost])
         for state in queue:
-            for action_rows in rows[state]:
+            for _, action_rows in rows[state]:
                 for succ, step, _ in action_rows:
                     total = cost + step
                     if succ == target or succ in levels.setdefault(total, {}):
@@ -360,13 +360,13 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     beyond: dict[str, None] = {}
     for cost in costs[bisect_right(costs, budget - table.max_cost) : count]:
         for state in levels[cost]:
-            for action_rows in rows[state]:
+            for _, action_rows in rows[state]:
                 for succ, step, _ in action_rows:
                     if cost + step > budget and succ != target:
                         beyond[succ] = None
     queue = list(beyond)
     for state in queue:
-        for action_rows in rows[state]:
+        for _, action_rows in rows[state]:
             for succ, _, _ in action_rows:
                 if succ != target and succ not in beyond:
                     beyond[succ] = None
@@ -393,7 +393,7 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
                 options = {}
                 for state in members:
                     per_action = []
-                    for action_rows in rows[state]:
+                    for den, action_rows in rows[state]:
                         const = 0
                         edges = []
                         for succ, step, weight in action_rows:
@@ -404,10 +404,10 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
                                 const += tail * weight
                             else:
                                 edges.append(((succ, left - step), weight))
-                        per_action.append((const, edges))
+                        per_action.append((const, edges, den))
                     options[(state, left)] = per_action
                 keys = list(options)
-                resolved = resolve_component(keys, cyclic, options, values, mode, table.denominator)
+                resolved = resolve_component(keys, cyclic, options, values, mode)
                 choices.update(zip(keys, resolved))
             for state in members:
                 if len(enabled[state]) > 1:

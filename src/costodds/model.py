@@ -64,13 +64,13 @@ class Transition(NamedTuple):
 
 
 class IntTable(NamedTuple):
-    """A process's transitions as integers over one common denominator.
+    """A process's transitions as integers, each distribution over its own denominator.
 
-    ``denominator`` is D, the lcm of every probability denominator.
-    ``rows[state]`` holds, per enabled action in canonical order, that
-    action's distribution as (successor, cost, weight) rows with
-    weight = prob·D. ``min_weight`` and ``max_cost`` are the smallest
-    weight and the largest cost over all rows. ``components`` are the
+    ``rows[state]`` holds, per enabled action in canonical order, a pair
+    (D_a, entries): D_a is the lcm of that action's probability
+    denominators, and entries are its (successor, cost, weight) rows
+    with weight = prob·D_a. ``p_min`` and ``max_cost`` are the smallest
+    probability and the largest cost over all rows. ``components`` are the
     strongly connected components of the zero-cost edges that do not
     enter the target, as (members, cyclic) in the order
     ``strongly_connected`` emits them, so each follows every component it
@@ -79,9 +79,8 @@ class IntTable(NamedTuple):
     Validation, ``mdp_solver``, ``chain_solver`` and ``mc`` all read it.
     """
 
-    denominator: int
-    rows: Mapping[str, tuple[tuple[tuple[str, int, int], ...], ...]]
-    min_weight: int
+    rows: Mapping[str, tuple[tuple[int, tuple[tuple[str, int, int], ...]], ...]]
+    p_min: Fraction
     max_cost: int
     components: tuple[tuple[tuple[str, ...], bool], ...]
     component_of: Mapping[str, int]
@@ -168,20 +167,26 @@ class CostProcess:
 
     @cached_property
     def int_table(self) -> IntTable:
-        """The transitions over their common denominator, built once per process."""
-        keys = [(q, a) for q in self.states for a in self.enabled[q]]
-        denominator = lcm(*{e.prob.denominator for key in keys for e in self.transitions[key]})
-        per_key = {
-            key: tuple(
-                (e.successor, e.cost, e.prob.numerator * (denominator // e.prob.denominator))
-                for e in self.transitions[key]
-            )
-            for key in keys
-        }
-        every = [row for entries in per_key.values() for row in entries]
-        rows = {q: tuple(per_key[(q, a)] for a in self.enabled[q]) for q in self.states}
+        """The transitions over their per-action denominators, built once per process."""
+        rows = {}
+        least, least_den, max_cost = 1, 1, 0
+        for q in self.states:
+            per_action = []
+            for a in self.enabled[q]:
+                entries = self.transitions[(q, a)]
+                den = lcm(*[e.prob.denominator for e in entries])
+                weights = tuple(
+                    (e.successor, e.cost, e.prob.numerator * (den // e.prob.denominator))
+                    for e in entries
+                )
+                per_action.append((den, weights))
+                for _, cost, weight in weights:
+                    if weight * least_den < least * den:
+                        least, least_den = weight, den
+                    max_cost = max(max_cost, cost)
+            rows[q] = tuple(per_action)
         free = {
-            q: [s for entries in rows[q] for s, cost, _ in entries if not cost and s != self.target]
+            q: [s for _, edges in rows[q] for s, cost, _ in edges if not cost and s != self.target]
             for q in self.states
         }
         components = tuple(
@@ -189,10 +194,9 @@ class CostProcess:
             for members, cyclic in strongly_connected(self.states, free.__getitem__)
         )
         return IntTable(
-            denominator,
             rows,
-            min((weight for _, _, weight in every), default=denominator),
-            max((cost for _, cost, _ in every), default=0),
+            Fraction(least, least_den),
+            max_cost,
             components,
             {q: index for index, (members, _) in enumerate(components) for q in members},
         )
@@ -225,12 +229,11 @@ class CostProcess:
     @cached_property
     def _report(self) -> ValidationReport:
         findings: list[Finding] = []
-        table = self.int_table
-        for state, per_action in table.rows.items():
-            for action, action_rows in zip(self.enabled[state], per_action):
+        for state, per_action in self.int_table.rows.items():
+            for action, (den, action_rows) in zip(self.enabled[state], per_action):
                 total = sum(weight for _, _, weight in action_rows)
-                if total != table.denominator:
-                    total_prob = Fraction(total, table.denominator)
+                if total != den:
+                    total_prob = Fraction(total, den)
                     findings.append(
                         Finding(
                             "bad-distribution",

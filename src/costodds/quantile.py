@@ -96,20 +96,14 @@ def _round_up_dyadic(value: Fraction, frac_bits: int) -> Fraction:
     return Fraction(math.ceil(value * scale), scale)
 
 
-def _description_extremes(process: CostProcess) -> tuple[Fraction, int]:
-    """p_min and k_max, read from the process's integer table."""
-    table = process.int_table
-    return Fraction(table.min_weight, table.denominator), table.max_cost
-
-
 def tail_budget(process: CostProcess, log_bound: Fraction) -> int:
     """The bound formula k_max * ceil(n * (L / p_min**n + 1)) for L = log_bound.
 
     Every scheduler keeps P(K > B) <= e**-L at the returned budget B.
     """
-    p_min, k_max = _description_extremes(process)
+    table = process.int_table
     n = len(process.states)
-    return k_max * math.ceil(n * (log_bound / p_min**n + 1))
+    return table.max_cost * math.ceil(n * (log_bound / table.p_min**n + 1))
 
 
 def budget_upper_bound(process: CostProcess, threshold: Fraction) -> QuantileBounds:
@@ -130,7 +124,6 @@ def budget_upper_bound(process: CostProcess, threshold: Fraction) -> QuantileBou
             f"threshold must be in [0, 1) for the budget bound, got {threshold}"
         )
     require_valid(process)
-    p_min, k_max = _description_extremes(process)
     bits = 64
     log_bound = ln_upper(1 / (1 - threshold), bits)
     bound = tail_budget(process, log_bound)
@@ -139,7 +132,8 @@ def budget_upper_bound(process: CostProcess, threshold: Fraction) -> QuantileBou
         tighter_log = ln_upper(1 / (1 - threshold), bits)
         tighter = tail_budget(process, tighter_log)
         if tighter == bound:
-            return QuantileBounds(p_min, k_max, bound, log_bound)
+            table = process.int_table
+            return QuantileBounds(table.p_min, table.max_cost, bound, log_bound)
         bound, log_bound = tighter, tighter_log
 
 
@@ -194,7 +188,7 @@ def _worst_case_cost(process: CostProcess, mode: str) -> "int | None":
     finite-valued strategy avoids positive-cost cycles).
     """
     graph = {
-        state: [[(succ, cost) for succ, cost, _ in edges] for edges in per_action]
+        state: [[(succ, cost) for succ, cost, _ in edges] for _, edges in per_action]
         for state, per_action in process.int_table.rows.items()
     }
     ceiling = len(process.states) * process.int_table.max_cost + 1

@@ -13,6 +13,7 @@ import pytest
 import costodds as co
 from costodds import NotAChainError, NotValidatedError
 from costodds.gadgets import chainify, posslp_instance
+from costodds.chain_solver import _walk
 from costodds.linalg import solve_linear_system
 
 from helpers import (
@@ -172,13 +173,25 @@ def test_integer_walk_matches_the_fraction_walk():
             assert co.solve_chain(chain, co.Not(co.Atom(budget))) == dist.overflow
             solves += dist.stats["linear_solves"]
     assert solves > 400
-    # D spans the unreachable state's 2^301 denominator too.
+    # Each state keeps its own denominator, u's 2^301 included.
     chain = co.build_chain(UNREACHABLE_WIDE_ROWS, "q0", "t")
-    assert chain.int_table.denominator == 3 * 2**301
+    assert [chain.int_table.rows[q][0][0] for q in ("q0", "q1", "u")] == [2, 3, 2**301]
     for budget in (0, 1, 7, 40):
         dist = co.cost_distribution(chain, budget)
         assert_same_walk(dist, reference_cost_distribution(chain, budget))
         assert co.solve_chain(chain, co.Not(co.Atom(budget))) == dist.overflow
+
+
+def test_an_unreachable_wide_state_leaves_the_walk_alone():
+    # u's 2^301 denominator reaches neither the reachable states' rows
+    # nor the walk's unreduced pairs.
+    wide = co.build_chain(UNREACHABLE_WIDE_ROWS, "q0", "t")
+    narrow = co.build_chain([row for row in UNREACHABLE_WIDE_ROWS if row[0] != "u"], "q0", "t")
+    assert wide.reachable == narrow.reachable == {"q0", "q1", "t"}
+    for q in wide.reachable:
+        assert wide.int_table.rows[q] == narrow.int_table.rows[q]
+    for budget in (0, 1, 7, 40):
+        assert _walk(wide, budget)[:2] == _walk(narrow, budget)[:2]
 
 
 def test_fixed_chains_match_the_fraction_walk():

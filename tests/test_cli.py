@@ -1,14 +1,19 @@
 """End-to-end command-line checks via main(argv)."""
 
+import contextlib
+import io
 import json
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import costodds as co
 from costodds.cli import _build_parser, canonical_json, main
 from costodds.gadgets import circuit_to_json, make_circuit
 from helpers import (
+    UNREACHABLE_WIDE_ROWS,
     choice_example,
     geometric_chain,
     level_four_tower,
@@ -596,3 +601,118 @@ def test_invalid_models_report_findings_on_stderr(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "--model", path, "--formula", "x<=1")
     assert code == 2
     assert "bad-distribution" in err
+
+
+# Every verb with its flags, and per flag the values that fit it: the
+# fixture files below by name, or text. Budgets, formula constants,
+# sample counts and subset-sum totals stay small, so no draw runs into a
+# resource limit.
+CLI_VERBS = {
+    ("validate",): ("--model",),
+    ("solve",): ("--model", "--formula", "--tau", "--quant"),
+    ("dist",): ("--model", "--budget"),
+    ("quantile",): ("--model", "--tau", "--quant"),
+    ("scheduler",): ("--model", "--formula", "--quant"),
+    ("gadget", "half"): ("--model", "--formula", "--tau"),
+    ("gadget", "circuit"): ("--circuit", "--gate"),
+    ("gadget", "posslp"): ("--circuit", "--g1", "--g2"),
+    ("gadget", "qss"): ("--k", "--T"),
+    ("gadget", "uqss"): ("--k", "--T"),
+    ("gadget", "countdown"): ("--game",),
+    ("gadget", "cu"): ("--model", "--T"),
+    ("brute", "qss"): ("--k", "--T"),
+    ("brute", "countdown"): ("--game",),
+    ("brute", "parikh"): ("--circuit", "--gate"),
+    ("sample",): ("--model", "--formula", "--n", "--seed", "--scheduler"),
+}
+GATES = ["g1", "g2", "one", "zero"]
+CLI_VALUES = {
+    "--model": ["{chain}", "{geometric}", "{choice}", "{wide}"],
+    "--circuit": ["{circuit}"],
+    "--game": ["{game}"],
+    "--scheduler": ["{scheduler}"],
+    "--formula": ["x<=0", "x<=3", "x>=2 & x<=5", "!(x=2)", "x=1 | x>=4", "x>=0"],
+    "--tau": ["1/2", "0", "1", "3/4"],
+    "--quant": ["exists", "forall"],
+    "--budget": ["0", "3", "12"],
+    "--gate": GATES,
+    "--g1": GATES,
+    "--g2": GATES,
+    "--k": ["1,1", "1,2,3,4", "2,2"],
+    "--T": ["0", "2", "4"],
+    "--n": ["1", "20"],
+    "--seed": ["0", "7"],
+}
+# Values that fit no flag, or only some: broken, missing and mistyped
+# files, and text out of range or off the grammar.
+CLI_MISFITS = [
+    "{broken}", "{junk}", "{deep}", "{missing}", "{folder}", "{chain}", "{circuit}", "{game}",
+    "", "x", "-1", "2", "1/0", "0.5", "abc", "x<", "((x<=1)", "2<=x<=1", "nope", "a,b", "1,2,3",
+]
+
+
+def mostly(draw, odds: int) -> bool:
+    """True but one time in ``odds``; True is also what Hypothesis tries first."""
+    return draw(st.sampled_from([True] * (odds - 1) + [False]))
+
+
+@st.composite
+def argument_vectors(draw):
+    """A verb and most of its flags, each with a value that mostly fits;
+    now and then a flag of another verb, ``--json`` or ``--help``."""
+    verb = draw(st.sampled_from(sorted(CLI_VERBS)))
+    flags = [flag for flag in CLI_VERBS[verb] if mostly(draw, 20)]
+    if not mostly(draw, 6):
+        flags.append(draw(st.sampled_from([*CLI_VALUES, "--json", "--json", "--help"])))
+    argv = list(verb)
+    for flag in flags:
+        argv.append(flag)
+        if flag in CLI_VALUES and mostly(draw, 30):
+            fits = mostly(draw, 6)
+            argv.append(draw(st.sampled_from(CLI_VALUES[flag] if fits else CLI_MISFITS)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("cli-fuzz")
+    broken = co.model_to_json(two_flip_chain())
+    broken["transitions"][0]["prob"] = "1/3"
+    circuit = make_circuit(
+        [("one", "one", ()), ("zero", "zero", ()), ("g1", "plus", ("one", "one")),
+         ("g2", "times", ("g1", "g1"))]
+    )
+    scheduler = co.scheduler_to_json(co.solve_max(choice_example(), co.parse("x<=3")).scheduler)
+    documents = {
+        "chain": co.model_to_json(two_flip_chain()),
+        "geometric": co.model_to_json(geometric_chain()),
+        "choice": co.model_to_json(choice_example()),
+        "wide": co.model_to_json(co.build_chain(UNREACHABLE_WIDE_ROWS, "q0", "t")),
+        "broken": broken,
+        "circuit": circuit_to_json(circuit),
+        "game": {"states": ["s"], "initial": "s", "final": 3,
+                 "moves": [{"from": "s", "k": 1, "to": "s"}]},
+        "scheduler": scheduler,
+    }
+    paths = {name: write_json(folder, f"{name}.json", doc) for name, doc in documents.items()}
+    for name, text in (("junk", "not json"), ("deep", "[" * 100_000)):
+        (folder / f"{name}.json").write_text(text, encoding="utf-8")
+        paths[name] = str(folder / f"{name}.json")
+    paths["missing"] = str(folder / "missing.json")
+    paths["folder"] = str(folder)
+    return paths
+
+
+# main's last handler names the exception type in its message.
+FINAL_HANDLER = re.compile(r"^error: \w+(Error|Exception): ", re.M)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=argument_vectors())
+def test_cli_exits_with_an_answer_or_a_handled_error(cli_files, argv):
+    argv = [arg.format(**cli_files) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert not FINAL_HANDLER.search(err.getvalue()), (argv, err.getvalue())

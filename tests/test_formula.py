@@ -3,7 +3,7 @@
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import costodds as co
 from costodds import And, Atom, FormulaSyntaxError, IntervalSet, Not, Or
@@ -210,3 +210,25 @@ def test_connectives_and_operand_order_tell_trees_apart():
     assert And(left, right) != And(right, left)
     assert Atom(1) != 1 and Atom(1) == Atom(1)
     assert len({And(left, right), And(Atom(1), Not(Atom(2))), Or(left, right)}) == 2
+
+
+# The grammar's characters and tokens, a few that it refuses (a letter
+# other than x, a sign, a non-ASCII digit), and runs of parentheses and
+# negations long enough to pass the connective limit.
+formula_text = st.lists(
+    st.sampled_from(
+        ["x", "<=", ">=", "=", "<", ">", "!", "&", "|", "(", ")", " ", "\t", "0", "7", "12",
+         "99999999999999999999", "y", "-", "\u0663", "\u00b2", "(" * 120, "!" * 120]
+    ),
+    max_size=30,
+).map("".join) | st.text(alphabet="x0123456789<>=!&|() \t", max_size=60)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(formula_text)
+def test_parse_raises_only_formula_syntax_errors(text):
+    try:
+        formula = co.parse(text)
+    except FormulaSyntaxError:
+        return
+    co.normalize(formula)

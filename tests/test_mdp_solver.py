@@ -22,6 +22,7 @@ from costodds.linalg import resolve_component, strongly_connected
 from helpers import (
     HALF,
     ONE,
+    UNREACHABLE_WIDE_ROWS,
     check_optimal,
     choice_example,
     choice_points,
@@ -288,6 +289,24 @@ def test_witnesses_pass_the_checker_with_mixed_denominators():
         checked += 1
 
 
+def test_an_unreachable_wide_state_leaves_the_values_alone():
+    # Each chain row also gets an action "b" that costs one more; u and
+    # its 2^301 denominator stay unreachable under both.
+    def two_actions(rows):
+        pairs = (("a", 0), ("b", 1))
+        entries = [(q, a, s, c + extra, p) for q, s, c, p in rows for a, extra in pairs]
+        return co.build_process(entries, "q0", "t")
+
+    wide = two_actions(UNREACHABLE_WIDE_ROWS)
+    narrow = two_actions([row for row in UNREACHABLE_WIDE_ROWS if row[0] != "u"])
+    for formula in map(co.parse, ("x<=0", "x<=3", "x>=2 & x<=6", "x=4")):
+        for solver in (co.solve_max, co.solve_min):
+            results = [solver(process, formula) for process in (wide, narrow)]
+            assert results[0].value == results[1].value
+            for process, result in zip((wide, narrow), results):
+                check_optimal(process, formula, result)
+
+
 @pytest.mark.parametrize("budget", [100, 200, 300])
 def test_witnesses_pass_the_checker_at_budgets_in_the_hundreds(budget):
     # Wide denominators compound over hundreds of cost levels, so values
@@ -306,25 +325,32 @@ def test_witnesses_pass_the_checker_at_budgets_in_the_hundreds(budget):
 
 
 def test_kernel_breaks_ties_low_and_keeps_values_reduced():
-    # Over scale 6, with u = 1/3 outside: b = (2 + 2a + 2u)/6, and a picks
-    # u (1/3), b, or the constant 4/6. Under the max, a = b = 2/3 both
-    # through b and through the constant, so the tie goes to index 1;
-    # policy iteration reaches the constant first.
+    # Each action carries its own scale. With u = 1/3 outside:
+    # b = (2 + 2a + 2u)/6, and a picks u (1/1), b (1/1), or the constant
+    # 2/3. Under the max, a = b = 2/3 both through b and through the
+    # constant, so the tie goes to index 1; policy iteration reaches the
+    # constant first.
     options = {
-        "a": [(0, [("u", 6)]), (0, [("b", 6)]), (4, [])],
-        "b": [(2, [("a", 2), ("u", 2)])],
+        "a": [(0, [("u", 1)], 1), (0, [("b", 1)], 1), (2, [], 3)],
+        "b": [(2, [("a", 2), ("u", 2)], 6)],
     }
     values = {"u": (1, 3)}
-    assert resolve_component(["a", "b"], True, options, values, "max", 6) == [1, 0]
+    assert resolve_component(["a", "b"], True, options, values, "max") == [1, 0]
     assert values == {"u": (1, 3), "a": (2, 3), "b": (2, 3)}
     values = {"u": (1, 3)}
-    assert resolve_component(["a", "b"], True, options, values, "min", 6) == [0, 0]
+    assert resolve_component(["a", "b"], True, options, values, "min") == [0, 0]
     assert values == {"u": (1, 3), "a": (1, 3), "b": (5, 9)}
     # A lone member: the constant 2/6 ties the edge to u.
     values = {"u": (1, 3)}
-    lone = {"c": [(2, []), (0, [("u", 6)])]}
-    assert resolve_component(["c"], False, lone, values, "min", 6) == [0]
+    lone = {"c": [(2, [], 6), (0, [("u", 6)], 6)]}
+    assert resolve_component(["c"], False, lone, values, "min") == [0]
     assert values["c"] == (1, 3)
+    # Ties across denominators: 1/2 over 2 against 2/4 over 4, either way round.
+    pairs = ([(1, [], 2), (2, [], 4)], [(2, [], 4), (1, [], 2)])
+    for mode, per_action in itertools.product(("max", "min"), pairs):
+        values = {}
+        assert resolve_component(["c"], False, {"c": per_action}, values, mode) == [0]
+        assert values == {"c": (1, 2)}
 
 
 def test_constant_formulas_solve_to_zero_or_one():

@@ -68,15 +68,16 @@ def test_int_table_matches_the_transitions():
         entries = [
             e for q in process.states for a in process.enabled[q] for e in process.transitions[(q, a)]
         ]
-        assert table.denominator == math.lcm(*(e.prob.denominator for e in entries))
         for q in process.states:
             assert len(table.rows[q]) == len(process.enabled[q])
-            for action, rows in zip(process.enabled[q], table.rows[q]):
-                expected = [(e.successor, e.cost, e.prob) for e in process.transitions[(q, action)]]
-                assert [(s, c, Fraction(w, table.denominator)) for s, c, w in rows] == expected
+            for action, (den, rows) in zip(process.enabled[q], table.rows[q]):
+                transitions = process.transitions[(q, action)]
+                assert den == math.lcm(*(e.prob.denominator for e in transitions))
+                expected = [(e.successor, e.cost, e.prob) for e in transitions]
+                assert [(s, c, Fraction(w, den)) for s, c, w in rows] == expected
         p_min = min(e.prob for e in entries)
         k_max = max(e.cost for e in entries)
-        assert Fraction(table.min_weight, table.denominator) == p_min
+        assert table.p_min == p_min
         assert table.max_cost == k_max
         bounds = co.budget_upper_bound(process, HALF)
         assert (bounds.p_min, bounds.k_max) == (p_min, k_max)
@@ -108,8 +109,8 @@ def test_bad_distribution_finding():
 
 
 def test_bad_distribution_over_mixed_denominators():
-    # The check sums integer weights over D = 42; the message still names
-    # the exact sum 1/2 + 1/3 = 5/6.
+    # The check sums (q0, a)'s integer weights over its own D_a = 6; the
+    # message still names the exact sum 1/2 + 1/3 = 5/6.
     process = co.build_process(
         [
             ("q0", "a", "t", 1, HALF),
@@ -121,7 +122,8 @@ def test_bad_distribution_over_mixed_denominators():
         "q0",
         "t",
     )
-    assert process.int_table.denominator == 42
+    assert [den for den, _ in process.int_table.rows["q0"]] == [6, 1]
+    assert process.int_table.rows["q1"][0][0] == 7
     (finding,) = co.validate(process).violations
     assert finding == co.Finding(
         "bad-distribution", ("q0", "a"), "probabilities sum to 5/6, not 1"
