@@ -10,14 +10,14 @@ finite and the optimum attainable by backward induction over the pairs.
 Below ``TOP`` the (state, cost) pairs form a graph whose only cycles
 cost zero, so the solver walks it level by level. A forward sweep finds
 the states each cost level reaches, closed under zero-cost edges. Levels
-up to a budget do not depend on it, so the sweep is kept on the process
-(``CostProcess.reach_table``) for every formula, and a solve extends it
-only past the largest budget solved so far. Jumps past the budget seed
-the ``TOP`` set, closed under every edge. Levels then resolve from the
-highest cost down, each level's reached components in the order of the
-process's zero-cost components (``IntTable.components``), so every value
-a component reads is already fixed. Each pair's options come from the
-process's integer table (``CostProcess.int_table``): per action, the
+up to a budget do not depend on it, so one sweep serves every formula on
+a process, and a solve extends it only past the largest budget solved so
+far. The states of the levels within the largest cost above the budget
+seed the ``TOP`` set, closed under every edge. Levels then resolve from
+the highest cost down, each level's reached components in the order of
+the process's zero-cost components (``IntTable.components``), so every
+value a component reads is already fixed. Each pair's options come from
+the process's integer table (``CostProcess.int_table``): per action, the
 weight that reaches the target within the formula, plus the weight that
 jumps to ``TOP`` times the tail verdict, and the weighted edges to other
 pairs, all ints over that action's own denominator D_a.
@@ -31,21 +31,23 @@ reproducible.
 
 Under ``x<=B`` the value and choice at (state, cost) depend only on the
 remaining budget r = B - cost: the epoch model of Hartmanns, Junges,
-Katoen and Quatmann (TACAS 2018). Such solves keep them per (state, r)
-in the process's ``epoch_table``, per mode, and later ``x<=B`` solves on
-the same object read them instead of resolving again. The table holds
-one (value, choice) per reached state and epoch, up to the largest
-``x<=B`` solved on that object. Other formulas share the sweep but
-resolve their levels afresh.
+Katoen and Quatmann (TACAS 2018). Such solves keep them per mode and
+(state, r), and later ``x<=B`` solves on the same object read them
+instead of resolving again, up to the largest ``x<=B`` solved on it.
+Other formulas share the sweep but resolve their levels afresh. The
+sweep and the epochs live in this module, in a ``_Sweep`` per process
+object held by a weak-keyed map, so they last exactly as long as the
+process does and a new object with the same rows starts empty.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Final, Mapping
+from typing import Final, Mapping, NamedTuple
 
 from .errors import (
     ModelFormatError,
@@ -325,6 +327,29 @@ def scheduler_from_json(data: object) -> Scheduler:
 # Engines
 
 
+class _Sweep(NamedTuple):
+    """One process's forward sweep over cost levels and its ``x<=B`` epochs.
+
+    ``levels[cost]`` holds the states some run reaches at exactly that
+    cost, closed under zero-cost edges once the level is completed.
+    ``costs`` lists the completed levels in ascending order, and
+    ``components[i]`` level ``costs[i]``'s sorted ``IntTable.component_of``
+    indices. ``pending`` is the heap of levels reached but not completed.
+    ``epochs[mode]`` holds the values and choices keyed by (state,
+    remaining budget). It holds no reference to its process, so the
+    process's ``_SWEEPS`` entry goes when the process does.
+    """
+
+    costs: list[int]
+    levels: dict[int, dict[str, None]]
+    components: list[list[int]]
+    pending: list[int]
+    epochs: dict[str, tuple[dict, dict]]
+
+
+_SWEEPS: weakref.WeakKeyDictionary[CostProcess, _Sweep] = weakref.WeakKeyDictionary()
+
+
 def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     require_valid(process)
     accept = normalize(formula)
@@ -333,10 +358,14 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     enabled = process.enabled
     table = process.int_table
     rows = table.rows
+    sweep = _SWEEPS.get(process)
+    if sweep is None:
+        epochs = {"max": ({}, {}), "min": ({}, {})}
+        sweep = _SWEEPS[process] = _Sweep([], {0: {process.initial: None}}, [], [0], epochs)
 
     # Resume the process's forward sweep up to the budget. A level popped
     # from the heap is complete: every lower level has pushed its arrivals.
-    costs, levels, level_components, pending = process.reach_table
+    costs, levels, level_components, pending, epochs = sweep
     while pending and pending[0] <= budget:
         cost = heapq.heappop(pending)
         queue = list(levels[cost])
@@ -355,15 +384,17 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
         level_components.append(sorted({table.component_of[state] for state in queue}))
     count = bisect_right(costs, budget)
 
-    # Every jump past the budget leaves a level within the largest cost
-    # below it; the states it lands on seed ``TOP``, closed under every edge.
+    # Every run past the budget first lands in a level within the largest
+    # cost above it, completed or pending, and every state of a higher
+    # level is reached from there; those levels seed ``TOP``, closed under
+    # every edge.
+    horizon = budget + table.max_cost
     beyond: dict[str, None] = {}
-    for cost in costs[bisect_right(costs, budget - table.max_cost) : count]:
-        for state in levels[cost]:
-            for _, action_rows in rows[state]:
-                for succ, step, _ in action_rows:
-                    if cost + step > budget and succ != target:
-                        beyond[succ] = None
+    for cost in costs[count : bisect_right(costs, horizon)]:
+        beyond.update(levels[cost])
+    for cost in pending:
+        if cost <= horizon:
+            beyond.update(levels[cost])
     queue = list(beyond)
     for state in queue:
         for _, action_rows in rows[state]:
@@ -373,7 +404,7 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
                     queue.append(succ)
 
     if accept.spans == ((0, budget),):
-        values, choices = process.epoch_table[mode]
+        values, choices = epochs[mode]
     else:
         values, choices = {}, {}
     # A run past the budget has the tail verdict whatever it does next, so

@@ -14,11 +14,7 @@ chain. Two structural assumptions make accumulated cost well defined:
 data rather than exceptions; solvers refuse processes whose report is not
 clean. Validation, chain-ness, acyclicity and the integer table
 (``CostProcess.int_table``) are cached per instance since models are
-immutable once built. So are two mutable caches that ``mdp_solver``
-grows as it solves: ``CostProcess.reach_table``, the forward sweep over
-cost levels, completed up to the largest budget solved so far, and
-``CostProcess.epoch_table``, the levels that ``x<=B`` solves have
-resolved so far.
+immutable once built.
 """
 
 from __future__ import annotations
@@ -86,22 +82,6 @@ class IntTable(NamedTuple):
     component_of: Mapping[str, int]
 
 
-class ReachTable(NamedTuple):
-    """``mdp_solver``'s forward sweep over cost levels, kept per process.
-
-    ``levels[cost]`` holds the states some run reaches at exactly that
-    cost, closed under zero-cost edges once the level is completed.
-    ``costs`` lists the completed levels in ascending order, and
-    ``components[i]`` level ``costs[i]``'s sorted ``IntTable.component_of``
-    indices. ``pending`` is the heap of levels reached but not completed.
-    """
-
-    costs: list[int]
-    levels: dict[int, dict[str, None]]
-    components: list[list[int]]
-    pending: list[int]
-
-
 @dataclass(frozen=True)
 class Finding:
     """A single validation violation.
@@ -154,15 +134,15 @@ class CostProcess:
     @cached_property
     def reachable(self) -> frozenset[str]:
         """States reachable from the initial state under any actions."""
+        rows = self.int_table.rows
         seen = {self.initial}
         frontier = [self.initial]
         while frontier:
-            state = frontier.pop()
-            for action in self.enabled[state]:
-                for entry in self.transitions[(state, action)]:
-                    if entry.successor not in seen:
-                        seen.add(entry.successor)
-                        frontier.append(entry.successor)
+            for _, edges in rows[frontier.pop()]:
+                for succ, _, _ in edges:
+                    if succ not in seen:
+                        seen.add(succ)
+                        frontier.append(succ)
         return frozenset(seen)
 
     @cached_property
@@ -202,34 +182,25 @@ class CostProcess:
         )
 
     @cached_property
-    def reach_table(self) -> ReachTable:
-        """The forward sweep from the initial state at cost 0; ``mdp_solver``
-        completes its levels up to each budget it solves."""
-        return ReachTable([], {0: {self.initial: None}}, [], [0])
-
-    @cached_property
-    def epoch_table(self) -> dict[str, tuple[dict, dict]]:
-        """Per mode, ``mdp_solver``'s values and choices of ``x<=B`` solves,
-        keyed by (state, remaining budget)."""
-        return {"max": ({}, {}), "min": ({}, {})}
-
-    @cached_property
     def _chain(self) -> bool:
         return all(len(self.enabled[q]) == 1 for q in self.states)
 
     @cached_property
     def _acyclic(self) -> bool:
         # No cycle through any state; the target's own loop does not count.
+        rows = self.int_table.rows
+
         def successors(state: str) -> set[str]:
-            acts = () if state == self.target else self.enabled[state]
-            return {e.successor for a in acts for e in self.transitions[(state, a)]}
+            per_action = () if state == self.target else rows[state]
+            return {s for _, edges in per_action for s, _, _ in edges}
 
         return not any(cyclic for _, cyclic in strongly_connected(self.states, successors))
 
     @cached_property
     def _report(self) -> ValidationReport:
         findings: list[Finding] = []
-        for state, per_action in self.int_table.rows.items():
+        rows = self.int_table.rows
+        for state, per_action in rows.items():
             for action, (den, action_rows) in zip(self.enabled[state], per_action):
                 total = sum(weight for _, _, weight in action_rows)
                 if total != den:
@@ -255,11 +226,7 @@ class CostProcess:
                 )
             )
 
-        support = {
-            key: tuple(e.successor for e in entries)
-            for key, entries in self.transitions.items()
-        }
-        edges = {q: _edges(q, self.enabled[q], support) for q in self.reachable}
+        edges = {q: _edges(q, rows[q]) for q in self.reachable}
         components = [
             members
             for members, _ in strongly_connected(sorted(self.reachable), edges.__getitem__)
@@ -281,7 +248,7 @@ class CostProcess:
                 )
             )
 
-        for component in _maximal_end_components(components, self.enabled, support):
+        for component in _maximal_end_components(components, rows):
             if component != frozenset((self.target,)):
                 findings.append(
                     Finding(
@@ -445,9 +412,7 @@ def require_valid(process: CostProcess) -> None:
 
 
 def _maximal_end_components(
-    components: list[list[str]],
-    enabled: Mapping[str, tuple[str, ...]],
-    support: Mapping[tuple[str, str], tuple[str, ...]],
+    components: list[list[str]], rows: Mapping[str, tuple]
 ) -> list[frozenset[str]]:
     """Standard iterative SCC-refinement MEC decomposition.
 
@@ -457,6 +422,7 @@ def _maximal_end_components(
     self-loop action. Every other component of two or more states is a
     candidate: it shrinks by (1) dropping actions whose support leaves
     it, (2) dropping states left with no action, then (3) splits again.
+    ``rows`` gives each state's actions as ``IntTable.rows`` does.
     """
     mecs: list[frozenset[str]] = []
     work = [components]
@@ -465,7 +431,7 @@ def _maximal_end_components(
         for scc in split:
             if len(scc) == 1:
                 (q,) = scc
-                if any(all(s == q for s in support[(q, a)]) for a in enabled[q]):
+                if any(all(s == q for s, _, _ in edges) for _, edges in rows[q]):
                     mecs.append(frozenset(scc))
             elif len(split) == 1:
                 mecs.append(frozenset(scc))
@@ -473,24 +439,22 @@ def _maximal_end_components(
                 current = set(scc)
                 while True:
                     kept = {
-                        q: [a for a in enabled[q] if all(s in current for s in support[(q, a)])]
+                        q: [act for act in rows[q] if all(s in current for s, _, _ in act[1])]
                         for q in current
                     }
                     doomed = [q for q, acts in kept.items() if not acts]
                     if not doomed:
                         break
                     current.difference_update(doomed)
-                edges = {q: _edges(q, kept[q], support) for q in current}
+                edges = {q: _edges(q, kept[q]) for q in current}
                 children = strongly_connected(sorted(current), edges.__getitem__)
                 work.append([members for members, _ in children])
     return mecs
 
 
-def _edges(
-    state: str, actions: Iterable[str], support: Mapping[tuple[str, str], tuple[str, ...]]
-) -> list[str]:
-    """The sorted successors of a state under the given actions, without itself."""
-    return sorted({s for a in actions for s in support[(state, a)] if s != state})
+def _edges(state: str, actions: Iterable[tuple]) -> list[str]:
+    """The sorted successors of a state under the given action rows, without itself."""
+    return sorted({s for _, edges in actions for s, _, _ in edges if s != state})
 
 
 # ---------------------------------------------------------------------------

@@ -713,10 +713,12 @@ def random_branching_process(
 
 
 def fresh(process: co.CostProcess) -> co.CostProcess:
-    """The same process as a new object: no cached validation, table or epochs.
+    """The same process as a new object: no cached validation or table, and
+    no solver state, since ``mdp_solver`` keys its sweep by the object.
 
-    Oracles that call the engine solve on such copies, so the epoch table
-    that earlier ``x<=B`` solves filled is never checked against itself.
+    Oracles that call the engine solve on such copies, so the sweep and
+    the epochs that earlier solves filled are never checked against
+    themselves.
     """
     return co.CostProcess(
         process.states, process.initial, process.target, process.enabled, process.transitions

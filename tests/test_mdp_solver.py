@@ -1,8 +1,11 @@
 """Optimal scheduling over processes: values, witnesses, dual routes."""
 
+import dataclasses
+import gc
 import itertools
 import sys
 import time
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -17,6 +20,7 @@ from costodds import (
     SchedulerGapError,
     ThresholdRangeError,
 )
+from costodds import mdp_solver
 from costodds.linalg import resolve_component, strongly_connected
 
 from helpers import (
@@ -503,11 +507,12 @@ def test_deep_pass_over_pairs():
     # 20 002 (state, cost) pairs in one chain of components.
     chain = co.build_chain([("q0", "q0", 1, HALF), ("q0", "t", 0, HALF)], "q0", "t")
     assert co.solve_max(chain, co.parse("x<=20000")).value == 1 - Fraction(1, 2**20001)
-    # The epoch table holds one entry per reached state and epoch, per mode,
-    # and later x<=B solves on the object add only epochs it lacks.
-    values, choices = chain.epoch_table["max"]
+    # The sweep's epochs hold one entry per reached state and epoch, per
+    # mode, and later x<=B solves on the object add only epochs it lacks.
+    epochs = mdp_solver._SWEEPS[chain].epochs
+    values, choices = epochs["max"]
     assert len(values) == len(choices) == 20001
-    assert chain.epoch_table["min"] == ({}, {})
+    assert epochs["min"] == ({}, {})
     for bound in (20000, 7, 20001, 0):
         assert assert_same_as_fresh(chain, co.parse(f"x<={bound}"), co.solve_max).value == (
             1 - Fraction(1, 2 ** (bound + 1))
@@ -605,8 +610,8 @@ def test_reach_table_completes_levels_only_up_to_the_largest_budget():
         "q0",
         "t",
     )
-    reach = chain.reach_table
     co.solve_max(chain, co.parse("x<=7"))
+    reach = mdp_solver._SWEEPS[chain]
     # Every state reached at each cost up to 7, by a walk over (state, cost).
     expected: dict[int, set] = {}
     frontier = [("q0", 0)]
@@ -621,3 +626,32 @@ def test_reach_table_completes_levels_only_up_to_the_largest_budget():
     snapshot = (list(reach.costs), list(reach.pending), {c: dict(s) for c, s in reach.levels.items()})
     assert_same_as_fresh(chain, co.parse("x<=3"), co.solve_min)
     assert (reach.costs, reach.pending, reach.levels) == snapshot
+
+
+def test_the_model_keeps_no_solver_state():
+    # Every engine runs on one process; the object keeps only its fields
+    # and the immutable caches derived from them.
+    process = choice_example()
+    budget = co.parse("x<=4")
+    for solver in (co.solve_max, co.solve_min):
+        solver(process, budget)
+        solver(process, co.parse("x>=2 & x<=3"))
+    for threshold in (HALF, ONE):
+        co.quantile_query(process, threshold, "exists")
+    co.decide_cost_utility(process, 5, 0)
+    co.estimate(process, co.solve_max(process, budget).scheduler, budget, 50, 3)
+    co.is_chain(process)
+    co.is_acyclic(process)
+    derived = set(vars(process)) - {field.name for field in dataclasses.fields(process)}
+    assert derived == {"reachable", "int_table", "_report", "_chain", "_acyclic"}
+    # The solver's state goes with its process.
+    gc.collect()
+    kept = len(mdp_solver._SWEEPS)
+    solved = fresh(process)
+    co.solve_max(solved, budget)
+    assert len(mdp_solver._SWEEPS) == kept + 1
+    alive = weakref.ref(solved)
+    del solved
+    gc.collect()
+    assert alive() is None
+    assert len(mdp_solver._SWEEPS) == kept
