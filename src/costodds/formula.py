@@ -389,6 +389,8 @@ def max_constant(formula: CostFormula) -> int:
     of an atom-free formula only matters for hand-built trees; it returns
     0, and constancy can be checked with ``is_constant_formula``.
     """
+    if type(formula) is Atom:
+        return formula.bound
     return max((n.bound for n in _walk(formula) if isinstance(n, Atom)), default=0)
 
 
@@ -399,8 +401,11 @@ def normalize(formula: CostFormula) -> IntervalSet:
     sorted atom bounds b_i, and from the last b + 1 on, so it is
     evaluated only at 0 and at each bound + 1: one bit per sample point,
     all points at once, in a single pass over the tree. The result is
-    canonical: semantically equal formulas normalize equally.
+    canonical: semantically equal formulas normalize equally. A bare
+    ``x<=B``, every quantile probe among them, returns at once.
     """
+    if type(formula) is Atom:
+        return IntervalSet(((0, formula.bound),))
     nodes = list(_walk(formula))
     points = sorted({0}.union(n.bound + 1 for n in nodes if isinstance(n, Atom)))
     full = (1 << len(points)) - 1

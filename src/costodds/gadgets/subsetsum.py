@@ -44,7 +44,7 @@ def qsubsetsum_to_process(
             low = base + pick * weights[start]
             for cost in (low, low + weights[start + 1]):
                 entries.append(
-                    (state, action, successor, cost, Fraction(1, 2) * (1 - Fraction(cost, mass)))
+                    (state, action, successor, cost, Fraction(mass - cost, 2 * mass))
                 )
                 entries.append(
                     (state, action, "t", cost, Fraction(cost, 2 * mass))
@@ -73,10 +73,10 @@ def universal_qsubsetsum_to_process(
             low = base + pick * weights[start]
             high = low + weights[start + 1]
             entries.append(
-                (state, action, successor, low, Fraction(1, 2) * (1 - Fraction(low, mass)))
+                (state, action, successor, low, Fraction(mass - low, 2 * mass))
             )
             entries.append(
-                (state, action, successor, high, Fraction(1, 2) * (1 - Fraction(high, mass)))
+                (state, action, successor, high, Fraction(mass - high, 2 * mass))
             )
             entries.append(
                 (state, action, "t", 0, Fraction(low + high, 2 * mass))

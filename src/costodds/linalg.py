@@ -4,25 +4,25 @@
 the acyclicity test and each process's zero-cost components, which the
 chain and MDP solvers both read, call it. It emits each component after
 every component it reaches, so a solver that resolves components in that
-order finds every value a component reads from outside already fixed. Inside
-a component the solvers' edges cost nothing, and ``resolve_component``
-optimizes it: a lone member without a zero-cost self-loop takes its
-best action directly, a cyclic component runs policy iteration whose
-evaluations are square linear systems.
+order finds every value a component reads from outside already fixed.
+The kernel solves the MDP solver's components, of (state, remaining
+budget) vertices, straight from each state's ``IntTable.rows`` entry:
+``_best`` gives a lone vertex its best action, ``resolve_component``
+runs policy iteration on a zero-cost cycle, whose evaluations are square
+linear systems with one row per member.
 
-The kernel runs on integers. Each action's constant and edge weights
-are ints over that action's own denominator, and every value is a
-reduced (numerator, denominator) int pair. An action's value is summed
-term by term with Henrici's rule, as ``fractions`` adds, so each gcd
-sees at most one value's denominator; putting all terms over one common
-denominator instead would leave a gcd of the whole sum, which on
-wide-denominator processes reaches numerators of 10^5 bits. Floating
-point is never acceptable, and the package has one exact solve:
-``solve_linear_system``, fraction-free Gauss-Jordan (Bareiss 1968) on
-integer systems with any number of right-hand sides. The chain solver's
-zero-cost closure calls it once per cyclic component; policy evaluation
-scales each row to integers and calls it with one column. Systems stay small: one row per
-member of the component.
+The kernel runs on integers. Each action's weights are ints over that
+action's own denominator D_a, and every value is a reduced (numerator,
+denominator) int pair. An action's value is summed term by term with
+Henrici's rule, as ``fractions`` adds, so each gcd sees at most one
+value's denominator; putting all terms over one common denominator
+instead would leave a gcd of the whole sum, which on wide-denominator
+processes reaches numerators of 10^5 bits. Floating point is never
+acceptable, and the package has one exact solve: ``solve_linear_system``,
+fraction-free Gauss-Jordan (Bareiss 1968) on integer systems with any
+number of right-hand sides. The chain solver's zero-cost closure calls it
+once per cyclic component; policy evaluation scales each row to integers
+and calls it with one column.
 """
 
 from __future__ import annotations
@@ -87,71 +87,67 @@ def strongly_connected(
 
 
 def resolve_component(
-    members: list,
-    cyclic: bool,
-    options: Mapping,
-    values: MutableMapping,
-    mode: str,
+    members: list, rows: Mapping, level: tuple, values: MutableMapping, mode: str
 ) -> list[int]:
-    """Optimize one strongly connected component whose internal edges cost zero.
+    """Optimize one cyclic component of states whose internal edges cost zero.
 
-    Args:
-        members, cyclic: the component, as ``strongly_connected`` emits it.
-        options: per member, one (constant, edges, scale) triple per
-            enabled action in canonical order; edges are (vertex, weight)
-            pairs. The constant and weights are ints over the action's
-            ``scale``: its value is (constant + Σ weight·value) / scale.
-        values: the value of every vertex outside the component that an
-            edge names, as a reduced (numerator, denominator) int pair
-            with a positive denominator; the members' optimal values are
-            written into it the same way.
-        mode: "max" or "min".
+    ``rows`` is ``IntTable.rows`` and ``level`` is (cost, left, accept,
+    tail, target): the level's cost, its remaining budget, the formula's
+    ``IntervalSet``, its verdict past the budget as 0 or 1, and the
+    target. ``values`` holds reduced (numerator, denominator) pairs keyed
+    by (state, remaining budget) for every vertex outside the component
+    that an edge names, and receives the members' values. Returns each
+    member's lowest-index optimal action under ``mode``, "max" or "min".
 
-    Returns:
-        Per member, the index of its lowest-index optimal action.
-
-    An acyclic component is one member, which takes its best action. A
-    cyclic one runs policy iteration from the all-first-action policy;
-    evaluation is an exact linear solve, nonsingular because a zero-cost
-    recurrent class under some policy would be a forbidden end component.
+    Policy iteration starts from the all-first-action policy; evaluation
+    is an exact linear solve, nonsingular because a zero-cost recurrent
+    class under some policy would be a forbidden end component.
     """
-    if not cyclic:
-        q = members[0]
-        values[q], choice = _best(options[q], values, mode)
-        return [choice]
-
-    choosing = [q for q in members if len(options[q]) > 1]
+    left = level[1]
+    choosing = [q for q in members if len(rows[q]) > 1]
     policy = dict.fromkeys(members, 0)
     lowest = dict(policy)
     improved = True
     while improved:
-        _evaluate_policy(members, options, policy, values)
+        _evaluate_policy(members, rows, policy, level, values)
         improved = False
         for q in choosing:
-            best, lowest[q] = _best(options[q], values, mode)
-            # The policy's action attains values[q], so any other best is
-            # a strict improvement.
-            if best != values[q]:
+            best, lowest[q] = _best(rows[q], level, values, mode)
+            # The policy's action attains the member's value, so any other
+            # best is a strict improvement.
+            if best != values[q, left]:
                 policy[q], improved = lowest[q], True
     # No member improved, so the values are optimal and ``lowest`` holds
     # each member's lowest-index optimal action.
     return [lowest[q] for q in members]
 
 
-def _best(per_action: list, values: Mapping, mode: str) -> tuple[tuple[int, int], int]:
-    """The optimal action value as a reduced pair, and the lowest index attaining it.
+def _best(actions: tuple, level: tuple, values: Mapping, mode: str) -> tuple[tuple[int, int], int]:
+    """The best value of a state's ``actions`` at ``level``, reduced, and its lowest index.
 
-    Each action's sum constant + Σ weight·value is kept reduced term by
-    term, as ``fractions`` adds: Henrici's rule takes the gcd of the two
-    denominators, then of the new numerator against that gcd alone, so
-    no gcd ever sees a whole product of denominators. Actions compare by
-    cross-multiplication; only the winner is divided by its ``scale``.
+    An edge past the remaining budget adds its weight times the tail
+    verdict, one into the target its weight if the formula accepts its
+    cost, and any other its weight times its vertex's value. The sum is
+    kept reduced term by term, as ``fractions`` adds: Henrici's rule takes
+    the gcd of the two denominators, then of the new numerator against
+    that gcd alone, so no gcd ever sees a whole product of denominators.
+    Actions compare by cross-multiplication; only the winner is divided
+    by its D_a.
     """
+    cost, left, accept, tail, target = level
     best_num = best_den = best_scale = best_index = 0
-    for index, (num, edges, scale) in enumerate(per_action):
-        den = 1
-        for succ, weight in edges:
-            n, d = values[succ]
+    for index, (scale, entries) in enumerate(actions):
+        num, den = 0, 1
+        for succ, step, weight in entries:
+            if step > left:
+                if tail:
+                    num += weight * den
+                continue
+            if succ == target:
+                if cost + step in accept:
+                    num += weight * den
+                continue
+            n, d = values[succ, left - step]
             if not n:
                 continue
             if d == 1:
@@ -181,39 +177,43 @@ def _best(per_action: list, values: Mapping, mode: str) -> tuple[tuple[int, int]
 
 
 def _evaluate_policy(
-    members: list, options: Mapping, policy: Mapping, values: MutableMapping
+    members: list, rows: Mapping, policy: Mapping, level: tuple, values: MutableMapping
 ) -> None:
     """Write the values of ``policy`` on the component's members.
 
-    Each member's row x_q = (constant + Σ weight·x) / scale, over its
-    policy action's scale, is multiplied by scale·L, where L is the lcm
-    of the denominators of the outside values it reads, so every
-    coefficient is an int.
+    Edges are classified as in ``_best``, but a zero-cost one that stays
+    in the component is a matrix column. Each member's row x_q =
+    (constant + Σ weight·x) / D_a is multiplied by D_a·L, where L is the
+    lcm of the outside values' denominators, so every entry is an int.
     """
-    size = len(members)
+    cost, left, accept, tail, target = level
     index = {q: i for i, q in enumerate(members)}
-    matrix = []
-    rhs = []
+    matrix, rhs = [], []
     for i, q in enumerate(members):
-        const, edges, scale = options[q][policy[q]]
-        row = [0] * size
+        scale, entries = rows[q][policy[q]]
+        row = [0] * len(members)
         row[i] = scale
+        const = 0
         outside = []
-        for succ, weight in edges:
-            column = index.get(succ)
-            if column is None:
-                n, d = values[succ]
+        for succ, step, weight in entries:
+            if step > left:
+                const += tail * weight
+            elif succ == target:
+                if cost + step in accept:
+                    const += weight
+            elif not step and succ in index:
+                row[index[succ]] -= weight
+            else:
+                n, d = values[succ, left - step]
                 if n:
                     outside.append((weight * n, d))
-            else:
-                row[column] -= weight
         multiple = lcm(*(d for _, d in outside))
         matrix.append([entry * multiple for entry in row])
         rhs.append([const * multiple + sum(n * (multiple // d) for n, d in outside)])
     d, solution = solve_linear_system(matrix, rhs)
     for q, (y,) in zip(members, solution):
         g = gcd(y, d)
-        values[q] = (y // g, d // g)
+        values[q, left] = (y // g, d // g)
 
 
 def solve_linear_system(

@@ -16,15 +16,12 @@ far. The states of the levels within the largest cost above the budget
 seed the ``TOP`` set, closed under every edge. Levels then resolve from
 the highest cost down, each level's reached components in the order of
 the process's zero-cost components (``IntTable.components``), so every
-value a component reads is already fixed. Each pair's options come from
-the process's integer table (``CostProcess.int_table``): per action, the
-weight that reaches the target within the formula, plus the weight that
-jumps to ``TOP`` times the tail verdict, and the weighted edges to other
-pairs, all ints over that action's own denominator D_a.
-``linalg.resolve_component`` then fixes each component on integers: a
-lone pair by its best action, a zero-cost cycle by exact policy
-iteration (evaluate a policy with one fraction-free linear solve, switch
-only on strict improvement, terminate because policies never repeat).
+value a component reads is already fixed. The ``linalg`` kernel reads
+each pair's rows as the process's integer table (``CostProcess.int_table``)
+holds them, ints over each action's own denominator D_a: a lone pair
+takes its best action (``_best``), a zero-cost cycle runs exact policy
+iteration (``resolve_component``: evaluate a policy with one
+fraction-free linear solve, switch only on strict improvement).
 Values stay reduced int pairs; the one ``Fraction`` is the answer's.
 Ties break toward the lowest canonical action index so schedulers are
 reproducible.
@@ -55,7 +52,7 @@ from .errors import (
     ThresholdRangeError,
 )
 from .formula import Formula, _exactly, max_constant, normalize
-from .linalg import resolve_component
+from .linalg import _best, resolve_component
 from .model import CostChain, CostProcess, build_chain, require_valid
 from .rational import _digits, parse_cost
 
@@ -408,7 +405,8 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
     else:
         values, choices = {}, {}
     # A run past the budget has the tail verdict whatever it does next, so
-    # its weight joins the constant and the lowest-index action is chosen.
+    # the kernel counts its weight by that verdict, and in ``TOP`` the
+    # lowest-index action is chosen.
     tail = int(budget + 1 in accept)
     entries: dict[SchedulerKey, str] = {
         (state, TOP): enabled[state][0] for state in beyond if len(enabled[state]) > 1
@@ -418,28 +416,15 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
         # (numerator, denominator) int pairs.
         cost = costs[index]
         left = budget - cost
+        level = (cost, left, accept, tail, target)
         for component in level_components[index]:
             members, cyclic = table.components[component]
-            if (members[0], left) not in choices:
-                options = {}
-                for state in members:
-                    per_action = []
-                    for den, action_rows in rows[state]:
-                        const = 0
-                        edges = []
-                        for succ, step, weight in action_rows:
-                            if succ == target:
-                                if cost + step in accept:
-                                    const += weight
-                            elif step > left:
-                                const += tail * weight
-                            else:
-                                edges.append(((succ, left - step), weight))
-                        per_action.append((const, edges, den))
-                    options[(state, left)] = per_action
-                keys = list(options)
-                resolved = resolve_component(keys, cyclic, options, values, mode)
-                choices.update(zip(keys, resolved))
+            pair = (members[0], left)
+            if cyclic and pair not in choices:
+                resolved = resolve_component(members, rows, level, values, mode)
+                choices.update(((state, left), i) for state, i in zip(members, resolved))
+            elif pair not in choices:
+                values[pair], choices[pair] = _best(rows[members[0]], level, values, mode)
             for state in members:
                 if len(enabled[state]) > 1:
                     entries[(state, cost)] = enabled[state][choices[(state, left)]]

@@ -100,10 +100,15 @@ def tail_budget(process: CostProcess, log_bound: Fraction) -> int:
     """The bound formula k_max * ceil(n * (L / p_min**n + 1)) for L = log_bound.
 
     Every scheduler keeps P(K > B) <= e**-L at the returned budget B.
+    With L = a/b and p_min = p/q the ceiling is taken in integers:
+    ceil(n * (a·q^n + b·p^n) / (b·p^n)).
     """
     table = process.int_table
     n = len(process.states)
-    return table.max_cost * math.ceil(n * (log_bound / table.p_min**n + 1))
+    a, b = log_bound.numerator, log_bound.denominator
+    p, q = table.p_min.numerator, table.p_min.denominator
+    below = b * p**n
+    return table.max_cost * -(-n * (a * q**n + below) // below)
 
 
 def budget_upper_bound(process: CostProcess, threshold: Fraction) -> QuantileBounds:
@@ -124,12 +129,13 @@ def budget_upper_bound(process: CostProcess, threshold: Fraction) -> QuantileBou
             f"threshold must be in [0, 1) for the budget bound, got {threshold}"
         )
     require_valid(process)
+    odds = 1 / (1 - threshold)
     bits = 64
-    log_bound = ln_upper(1 / (1 - threshold), bits)
+    log_bound = ln_upper(odds, bits)
     bound = tail_budget(process, log_bound)
     while True:
         bits *= 2
-        tighter_log = ln_upper(1 / (1 - threshold), bits)
+        tighter_log = ln_upper(odds, bits)
         tighter = tail_budget(process, tighter_log)
         if tighter == bound:
             table = process.int_table

@@ -121,6 +121,15 @@ def test_max_constant_picks_largest_atom():
     assert co.max_constant(co.parse("x<=3 | x<=7 & !(x<=5)")) == 7
 
 
+def test_a_bare_atom_answers_as_the_general_walk():
+    # normalize and max_constant return at once for a bare atom; a double
+    # negation of the same atom takes the walk over the tree.
+    for bound in (0, 1, 7, 10**4300):
+        atom, wrapped = Atom(bound), Not(Not(Atom(bound)))
+        assert co.normalize(atom) == co.normalize(wrapped) == IntervalSet(((0, bound),))
+        assert co.max_constant(atom) == co.max_constant(wrapped) == bound
+
+
 def test_to_text_past_the_digit_cap(digit_cap):
     huge = 10**5000
     text = co.to_text(Not(Atom(huge)))

@@ -21,7 +21,7 @@ from costodds import (
     ThresholdRangeError,
 )
 from costodds import mdp_solver
-from costodds.linalg import resolve_component, strongly_connected
+from costodds.linalg import _best, resolve_component, strongly_connected
 
 from helpers import (
     HALF,
@@ -220,6 +220,31 @@ def test_values_match_exhaustive_scheduler_enumeration():
         )
 
 
+def test_target_edges_past_the_budget_take_the_tail_verdict():
+    # An edge that passes the remaining budget adds its weight times the
+    # tail verdict before the target is looked at. These formulas accept
+    # every cost past their largest constant, so a target edge that jumps
+    # there must count as accepted.
+    rng = Random(22)
+    texts = ("x>={k}", "!(x<={k})", "x<={a} | x>={k}")
+    jumps = 0
+    for _ in range(40):
+        process = random_branching_process(rng, max_cost=4)
+        k = rng.randint(1, 3)
+        formula = co.parse(rng.choice(texts).format(k=k, a=rng.randint(0, k - 1)))
+        assert co.max_constant(formula) + 1 in co.normalize(formula)
+        jumps += any(
+            e.successor == process.target and e.cost > k
+            for edges in process.transitions.values()
+            for e in edges
+        )
+        for solver, mode in ((co.solve_max, "max"), (co.solve_min, "min")):
+            result = solver(process, formula)
+            assert result.value == optimal_value_oracle(process, formula, mode)
+            check_optimal(process, formula, result)
+    assert jumps >= 10
+
+
 def test_max_dominates_min():
     rng = Random(19)
     for _ in range(30):
@@ -329,32 +354,30 @@ def test_witnesses_pass_the_checker_at_budgets_in_the_hundreds(budget):
 
 
 def test_kernel_breaks_ties_low_and_keeps_values_reduced():
-    # Each action carries its own scale. With u = 1/3 outside:
-    # b = (2 + 2a + 2u)/6, and a picks u (1/1), b (1/1), or the constant
-    # 2/3. Under the max, a = b = 2/3 both through b and through the
-    # constant, so the tie goes to index 1; policy iteration reaches the
-    # constant first.
-    options = {
-        "a": [(0, [("u", 1)], 1), (0, [("b", 1)], 1), (2, [], 3)],
-        "b": [(2, [("a", 2), ("u", 2)], 6)],
+    # Rows as IntTable holds them, at cost 0 with nothing left: a zero-cost
+    # edge into t is a constant, and u = 1/3 is an outside value. Each
+    # action carries its own D_a. b = (2 + 2a + 2u)/6, and a picks u
+    # (1/1), b (1/1), or the constant 2/3. Under the max, a = b = 2/3
+    # both through b and through the constant, so the tie goes to index
+    # 1; policy iteration reaches the constant first.
+    level = (0, 0, co.normalize(co.Atom(0)), 0, "t")
+    rows = {
+        "a": ((1, (("u", 0, 1),)), (1, (("b", 0, 1),)), (3, (("t", 0, 2),))),
+        "b": ((6, (("t", 0, 2), ("a", 0, 2), ("u", 0, 2))),),
     }
-    values = {"u": (1, 3)}
-    assert resolve_component(["a", "b"], True, options, values, "max") == [1, 0]
-    assert values == {"u": (1, 3), "a": (2, 3), "b": (2, 3)}
-    values = {"u": (1, 3)}
-    assert resolve_component(["a", "b"], True, options, values, "min") == [0, 0]
-    assert values == {"u": (1, 3), "a": (1, 3), "b": (5, 9)}
+    values = {("u", 0): (1, 3)}
+    assert resolve_component(["a", "b"], rows, level, values, "max") == [1, 0]
+    assert values == {("u", 0): (1, 3), ("a", 0): (2, 3), ("b", 0): (2, 3)}
+    values = {("u", 0): (1, 3)}
+    assert resolve_component(["a", "b"], rows, level, values, "min") == [0, 0]
+    assert values == {("u", 0): (1, 3), ("a", 0): (1, 3), ("b", 0): (5, 9)}
     # A lone member: the constant 2/6 ties the edge to u.
-    values = {"u": (1, 3)}
-    lone = {"c": [(2, [], 6), (0, [("u", 6)], 6)]}
-    assert resolve_component(["c"], False, lone, values, "min") == [0]
-    assert values["c"] == (1, 3)
+    lone = ((6, (("t", 0, 2),)), (6, (("u", 0, 6),)))
+    assert _best(lone, level, {("u", 0): (1, 3)}, "min") == ((1, 3), 0)
     # Ties across denominators: 1/2 over 2 against 2/4 over 4, either way round.
-    pairs = ([(1, [], 2), (2, [], 4)], [(2, [], 4), (1, [], 2)])
-    for mode, per_action in itertools.product(("max", "min"), pairs):
-        values = {}
-        assert resolve_component(["c"], False, {"c": per_action}, values, mode) == [0]
-        assert values == {"c": (1, 2)}
+    pairs = (((2, (("t", 0, 1),)), (4, (("t", 0, 2),))), ((4, (("t", 0, 2),)), (2, (("t", 0, 1),))))
+    for mode, actions in itertools.product(("max", "min"), pairs):
+        assert _best(actions, level, {}, mode) == ((1, 2), 0)
 
 
 def test_constant_formulas_solve_to_zero_or_one():

@@ -1,15 +1,17 @@
 """Budget quantiles: a-priori bounds, galloping search, degenerate thresholds."""
 
+import math
 import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
 import costodds as co
-from costodds import NotValidatedError, ThresholdRangeError, ln_upper
+from costodds import NotValidatedError, ThresholdRangeError, ln_upper, quantile
 
 from helpers import (
     HALF,
@@ -56,6 +58,23 @@ def test_ln_upper_reads_ints_and_floats_exactly():
     for _ in range(2):
         with pytest.raises(ValueError):
             ln_upper(HALF)
+
+
+def test_tail_budget_matches_the_fraction_formula():
+    # tail_budget takes its ceiling in integers; the Fraction formula it
+    # replaces is the reference. It reads only the state count and the
+    # table's p_min and max_cost.
+    rng = Random(61)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        k_max = rng.randint(0, 40)
+        den = rng.randint(1, 2 ** rng.randint(1, 80))
+        p_min = Fraction(rng.randint(1, den), den)
+        log_bound = Fraction(rng.randint(0, 2**72), 2 ** rng.choice((0, 64, 128, 256)))
+        table = SimpleNamespace(p_min=p_min, max_cost=k_max)
+        process = SimpleNamespace(states=range(n), int_table=table)
+        expected = k_max * math.ceil(n * (log_bound / p_min**n + 1))
+        assert quantile.tail_budget(process, log_bound) == expected
 
 
 def test_budget_bound_ingredients():
