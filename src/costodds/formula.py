@@ -10,8 +10,10 @@ so the AST only ever contains ``Atom``, ``Not``, ``And``, ``Or``.
 Truth can only change just above an atom bound, so a formula denotes a
 finite union of intervals fixed by its constants. ``normalize`` compiles
 it once into that canonical ``IntervalSet``, evaluating truth only at 0
-and at each bound + 1; the solvers and the sampler test costs against the
-set, and ``satisfies`` stays as the reference evaluator.
+and at each bound + 1; the solvers, the sampler and the gadgets test costs
+against the set. ``satisfies`` evaluates the tree directly at one value: it
+is the reference that the tests check ``normalize`` against, and no solver
+or gadget calls it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Mapping
 from ..chain_solver import solve_chain
 from ..errors import PreconditionError
 from ..formula import Atom, Formula, Not, parse
-from ..model import CostChain, build_chain, is_acyclic
+from ..model import CostChain, _rows, build_chain, is_acyclic
 from ..quantile import ln_upper, tail_budget
 from .circuits import ArithmeticCircuit, check_circuit, lift_gate
 from .parikh import ParikhDfa, circuit_to_dfa
@@ -217,18 +217,11 @@ def posslp_instance(
     ]
     for tag, cert in (("L", cert_first), ("R", cert_second)):
         chain = cert.model
-        for state in chain.states:
-            if state == chain.target:
-                continue
-            for entry in chain.transitions[(state, chain.enabled[state][0])]:
-                entries.append(
-                    (
-                        f"{tag}.{state}",
-                        _prefixed(tag, entry.successor, chain),
-                        entry.cost,
-                        entry.prob,
-                    )
-                )
+        entries.extend(
+            (f"{tag}.{state}", _prefixed(tag, successor, chain), cost, prob)
+            for state, _, successor, cost, prob, _ in _rows(chain)
+            if state != chain.target
+        )
     combined = build_chain(entries, "src", "t")
     formula = parse(
         f"x={target} | {offset + 1}<=x<={offset + target} | x>={offset + target + 2}"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..model import CostProcess, build_process, require_valid
+from ..model import CostProcess, _rows, build_process, require_valid
 
 __all__ = ["qualitative_to_cost_utility"]
 
@@ -19,10 +19,8 @@ def qualitative_to_cost_utility(process: CostProcess, total: int) -> CostProcess
         raise ValueError(f"total must be a non-negative int, got {total!r}")
     require_valid(process)
     entries = [
-        (state, action, entry.successor, entry.cost, entry.prob, entry.cost)
-        for state in process.states
+        (state, action, successor, cost, prob, cost)
+        for state, action, successor, cost, prob, _ in _rows(process)
         if state != process.target
-        for action in process.enabled[state]
-        for entry in process.transitions[(state, action)]
     ]
     return build_process(entries, process.initial, process.target, states=process.states)

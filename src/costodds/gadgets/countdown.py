@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from ..errors import GuardExceededError, ModelFormatError, PreconditionError
-from ..model import CostProcess, build_process
+from ..model import CostProcess, _fresh_name, build_process
 
 __all__ = [
     "CountdownGame",
@@ -161,9 +161,3 @@ def countdown_from_json(data: object) -> CountdownGame:
         return make_countdown(states, initial, final, moves)
     except PreconditionError as exc:
         raise ModelFormatError(str(exc)) from exc
-
-
-def _fresh_name(name: str, taken: tuple[str, ...]) -> str:
-    while name in taken:
-        name = "#" + name
-    return name

@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import PreconditionError, ThresholdRangeError
-from ..formula import Formula, satisfies
-from ..model import CostProcess, build_process
+from ..formula import Formula, normalize
+from ..model import CostProcess, _fresh_name, _rows, build_process
 
 __all__ = ["threshold_to_half"]
 
@@ -29,16 +29,15 @@ def threshold_to_half(
     """
     if not 0 <= threshold <= 1:
         raise ThresholdRangeError(f"threshold must be in [0, 1], got {threshold}")
-    if satisfies(miss_cost, formula):
+    accept = normalize(formula)
+    if miss_cost in accept:
         raise PreconditionError(f"miss cost {miss_cost} satisfies the formula")
-    if not satisfies(hit_cost, formula):
+    if hit_cost not in accept:
         raise PreconditionError(f"hit cost {hit_cost} violates the formula")
     if threshold == Fraction(1, 2):
         return process
 
-    fresh = "half"
-    while fresh in process.states:
-        fresh = "#" + fresh
+    fresh = _fresh_name("half", process.states)
     if threshold < Fraction(1, 2):
         bias = (Fraction(1, 2) - threshold) / (1 - threshold)
         head = [
@@ -51,11 +50,5 @@ def threshold_to_half(
             (fresh, "a", process.target, miss_cost, 1 - bias),
             (fresh, "a", process.initial, 0, bias),
         ]
-    entries = head + [
-        (state, action, entry.successor, entry.cost, entry.prob, entry.utility)
-        for state in process.states
-        if state != process.target
-        for action in process.enabled[state]
-        for entry in process.transitions[(state, action)]
-    ]
+    entries = head + [row for row in _rows(process) if row[0] != process.target]
     return build_process(entries, fresh, process.target)

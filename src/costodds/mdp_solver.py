@@ -220,9 +220,10 @@ def decide_cost_utility(process: CostProcess, cost_cap: int, goal: int) -> bool:
     Some scheduler must keep every support path to the target within the
     cap while earning the goal: a min-max cost (``_min_max_cost``) from
     the initial pair of a state and its utility saturated at the goal.
-    Only pairs that some walk reaches within the cap take part; arriving
-    at the target short of the goal, or stepping to a pair beyond the
-    cap, is worth the ceiling, which no run within the cap pays.
+    Only pairs that some walk reaches within the cap take part, and the
+    goal pair as a zero-cost self-loop; any other successor (the target
+    short of the goal, a pair beyond the cap) is lost, worth the ceiling,
+    which no run within the cap pays.
     """
     for label, bound in (("cost_cap", cost_cap), ("goal", goal)):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
@@ -251,16 +252,14 @@ def decide_cost_utility(process: CostProcess, cost_cap: int, goal: int) -> bool:
     # Finite min-max costs stay within pairs * k_max, and any past the cap
     # loses, so every value below this ceiling is within the cap.
     ceiling = min(cost_cap, len(cheapest) * process.int_table.max_cost) + 1
-    goal_pair = (target, goal)
     graph: dict[tuple[str, int], list] = {}
     for state, utility in cheapest:
         graph[(state, utility)] = per_action = []
         for action in process.enabled[state]:
             per_action.append([])
             for succ, step, _, gain in process.transitions[(state, action)]:
-                pair = (succ, min(utility + gain, goal))
-                lost = pair != goal_pair and pair not in cheapest
-                per_action[-1].append((goal_pair, ceiling) if lost else (pair, step))
+                per_action[-1].append(((succ, min(utility + gain, goal)), step))
+    graph[(target, goal)] = [[((target, goal), 0)]]
     return _min_max_cost(graph, start, "min", ceiling) is not None
 
 
@@ -433,14 +432,15 @@ def _solve(process: CostProcess, formula: Formula, mode: str) -> SolveResult:
 
 
 def _min_max_cost(graph: Mapping, start: object, mode: str, ceiling: int) -> "int | None":
-    """Optimal worst-case cost from ``start`` until ``graph`` is left, or None if infinite.
+    """Optimal worst-case cost from ``start``, or None if infinite.
 
     ``graph`` maps a vertex to one list of (successor, cost) edges per
-    action; a successor outside it is worth 0. The value is the least
-    fixpoint of D(v) = opt_a max_edge (cost + D(succ)), opt "min" or
-    "max", by round-robin iteration from 0 with values capped at
-    ``ceiling``, which stands for infinity. Infinite runs have
-    probability zero, so zero-cost cycles add nothing.
+    action; a successor missing from it is lost, worth ``ceiling``, and
+    a vertex whose one edge is a zero-cost self-loop is an exit worth 0.
+    The value is the least fixpoint of D(v) = opt_a max_edge (cost +
+    D(succ)), opt "min" or "max", by round-robin iteration from 0 with
+    values capped at ``ceiling``, which stands for infinity. Infinite
+    runs have probability zero, so zero-cost cycles add nothing.
     """
     dist = dict.fromkeys(graph, 0)
     changed = True
@@ -451,7 +451,7 @@ def _min_max_cost(graph: Mapping, start: object, mode: str, ceiling: int) -> "in
             for edges in per_action:
                 worst = 0
                 for succ, cost in edges:
-                    candidate = cost + dist.get(succ, 0)
+                    candidate = cost + dist.get(succ, ceiling)
                     if candidate > worst:
                         worst = candidate
                 if best < 0 or (worst < best if mode == "min" else worst > best):

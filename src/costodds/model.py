@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ModelFormatError, NotValidatedError
 from .linalg import strongly_connected
@@ -361,6 +361,26 @@ def build_process(
     return CostProcess(state_order, initial, target, enabled_final, transitions)
 
 
+def _rows(process: CostProcess) -> Iterator[tuple[str, str, str, int, Fraction, int]]:
+    """The process's rows (state, action, successor, cost, prob, utility).
+
+    The inverse of ``build_process``: rows come in canonical order
+    (``states``, then ``enabled``, then ``transitions``), so
+    ``build_process(_rows(p), p.initial, p.target, p.states)`` rebuilds ``p``.
+    """
+    for state in process.states:
+        for action in process.enabled[state]:
+            for successor, cost, prob, utility in process.transitions[(state, action)]:
+                yield state, action, successor, cost, prob, utility
+
+
+def _fresh_name(name: str, taken: Container[str]) -> str:
+    """``name`` with "#" prepended until it is not among ``taken``."""
+    while name in taken:
+        name = "#" + name
+    return name
+
+
 def build_chain(
     entries: Iterable[tuple[str, str, int, Fraction]],
     initial: str,
@@ -467,22 +487,19 @@ def model_to_json(process: CostProcess) -> dict:
     Chains omit the "action" field. A process with any nonzero utility
     names the action and the utility on every row.
     """
-    utilities = any(
-        entry.utility for entries in process.transitions.values() for entry in entries
-    )
+    entries = list(_rows(process))
+    utilities = any(utility for *_, utility in entries)
     with_action = utilities or not is_chain(process)
     rows = []
-    for state in process.states:
-        for action in process.enabled[state]:
-            for entry in process.transitions[(state, action)]:
-                row = {"from": state}
-                if with_action:
-                    row["action"] = action
-                row.update(to=entry.successor, cost=_digits(entry.cost))
-                if utilities:
-                    row["utility"] = _digits(entry.utility)
-                row["prob"] = format_rational(entry.prob)
-                rows.append(row)
+    for state, action, successor, cost, prob, utility in entries:
+        row = {"from": state}
+        if with_action:
+            row["action"] = action
+        row.update(to=successor, cost=_digits(cost))
+        if utilities:
+            row["utility"] = _digits(utility)
+        row["prob"] = format_rational(prob)
+        rows.append(row)
     return {
         "states": list(process.states),
         "initial": process.initial,

@@ -490,6 +490,17 @@ def test_cost_utility_argument_checks():
     assert not co.decide_cost_utility(co.build_chain([], "t", "t"), 0, 1)
 
 
+def test_a_successor_missing_from_the_graph_is_lost():
+    # "gone" is not a vertex, so reaching it is worth the ceiling.
+    lost = {"v": [[("gone", 1)]]}
+    for mode in ("min", "max"):
+        assert mdp_solver._min_max_cost(lost, "v", mode, 10) is None
+    # A second action reaches "z", held at 0 by its zero-cost self-loop.
+    graph = {"v": [[("gone", 1)], [("z", 3)]], "z": [[("z", 0)]]}
+    assert mdp_solver._min_max_cost(graph, "v", "min", 10) == 3
+    assert mdp_solver._min_max_cost(graph, "v", "max", 10) is None
+
+
 def every_scheduler_value(process, formula):
     """The value of every deterministic cost-aware scheduler: one choice per
     choice point below the saturation, each induced chain scored by the

@@ -9,6 +9,7 @@ import pytest
 
 import costodds as co
 from costodds import ModelFormatError
+from costodds.model import _rows
 
 from helpers import (
     HALF,
@@ -18,6 +19,7 @@ from helpers import (
     mixed_denominator_process,
     random_process,
     two_flip_chain,
+    with_utilities,
 )
 
 
@@ -507,6 +509,36 @@ def test_rows_merge_on_successor_cost_and_utility():
         co.Transition("t", 1, HALF, 2),
         co.Transition("t", 1, HALF, 5),
     )
+
+
+def test_rows_rebuild_every_process():
+    rng = Random(19)
+    processes = [random_process(rng) for _ in range(15)]
+    processes += [with_utilities(rng, random_process(rng)) for _ in range(15)]
+    processes += [mixed_denominator_process(rng) for _ in range(15)]
+    # Duplicate rows merge, and an explicit order puts the target first.
+    processes.append(
+        co.build_process(
+            [
+                ("q0", "b", "q1", 1, Fraction(1, 4), 2),
+                ("q0", "b", "q1", 1, Fraction(1, 4), 2),
+                ("q0", "b", "t", 0, HALF),
+                ("q0", "a", "t", 3, ONE),
+                ("q1", "a", "t", 2, ONE, 1),
+            ],
+            "q0",
+            "t",
+            states=["t", "q1", "q0"],
+        )
+    )
+    for process in processes:
+        back = co.build_process(_rows(process), process.initial, process.target, process.states)
+        assert back.states == process.states
+        assert back.enabled == process.enabled
+        assert back.transitions == process.transitions
+        assert co.model_to_json(back) == co.model_to_json(process)
+    assert processes[-1].states == ("t", "q1", "q0")
+    assert processes[-1].transitions[("q0", "b")][0] == co.Transition("q1", 1, HALF, 2)
 
 
 def test_validation_report_formatting():

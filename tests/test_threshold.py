@@ -94,6 +94,29 @@ def test_decision_queries_agree_across_the_fold():
             assert co.decide(folded, formula, HALF, quant)[0] is direct
 
 
+def test_two_span_formulas_fold_at_every_threshold():
+    # Hit 12 lies in the unbounded span, miss 5 in the gap between spans.
+    formula = co.parse("x<=2 | x>=9")
+    with pytest.raises(PreconditionError, match="satisfies"):
+        threshold_to_half(two_flip_chain(), formula, Fraction(1, 4), 9, 12)
+    with pytest.raises(PreconditionError, match="violates"):
+        threshold_to_half(two_flip_chain(), formula, Fraction(1, 4), 5, 8)
+    rng = Random(29)
+    for _ in range(20):
+        chain = random_chain(rng, max_cost=4)
+        value = co.solve_chain(chain, formula)
+        for tau in TAUS:
+            folded = threshold_to_half(chain, formula, tau, 5, 12)
+            assert co.is_chain(folded)
+            assert (co.solve_chain(folded, formula) >= HALF) == (value >= tau)
+    process = choice_example()
+    for tau in TAUS:
+        folded = threshold_to_half(process, formula, tau, 5, 12)
+        for quant in ("exists", "forall"):
+            direct = co.decide(process, formula, tau, quant)[0]
+            assert co.decide(folded, formula, HALF, quant)[0] is direct
+
+
 def test_utilities_survive_the_fold():
     process = co.build_process(
         [("q0", "a", "q1", 1, HALF, 3), ("q0", "a", "t", 2, HALF), ("q1", "b", "t", 0, ONE, 1)],
