@@ -1,10 +1,11 @@
 """Exact accumulated-cost distributions for cost chains.
 
 The accumulated cost at absorption is a random non-negative integer K.
-Everything here is exact. The distribution is truncated at a caller-chosen
-budget with all excess mass folded into a single overflow bucket, which is
-enough to evaluate any budget formula because verdicts are constant beyond
-the largest constant.
+Everything here is exact. ``cost_distribution`` truncates the
+distribution at a caller-chosen budget with all excess mass folded into
+a single overflow bucket. ``solve_chain``, the probability that K
+satisfies a formula, is ``mdp_solver.solve_max``'s value: a chain is the
+one-scheduler case of a process, so one engine answers both.
 
 The walk reads the chain's cached integer table (``CostProcess.int_table``):
 per state its denominator D_q, the lcm of its probability denominators,
@@ -27,7 +28,7 @@ with different denominators are rescaled by the quotient when one
 denominator divides the other, to their lcm otherwise. Levels are kept sparse (a heap of
 occupied levels), so huge budgets with few reachable cost values stay
 cheap. Fractions appear only at the boundary: one per mass entry and one
-for the overflow, or one accepted total in ``solve_chain``.
+for the overflow.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import NotAChainError
-from .formula import Formula, max_constant, normalize
+from .formula import Formula
 from .linalg import solve_linear_system
+from .mdp_solver import solve_max
 from .model import CostChain, IntTable, is_chain, require_valid
 
 __all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain"]
+
+_NOT_A_CHAIN = "process has states with more than one enabled action"
 
 # Per state with zero-cost edges: its row of N as numerators over E, and
 # whether a cyclic zero-cost component is reachable from it.
@@ -93,14 +97,11 @@ def cost_distribution(chain: CostChain, budget: int) -> TruncatedDistribution:
 
 
 def solve_chain(chain: CostChain, formula: Formula) -> Fraction:
-    """Exact probability that the accumulated cost satisfies the formula."""
-    accept = normalize(formula)
-    budget = max_constant(formula)
-    mass, overflow, _ = _walk(chain, budget)
-    cells = [cell for cost, cell in mass.items() if cost in accept]
-    if budget + 1 in accept:
-        cells.append(overflow)
-    return Fraction(*_total(cells))
+    """Exact probability that the accumulated cost satisfies the formula:
+    ``solve_max``'s value, checked first to be a chain (``NotAChainError``)."""
+    if not is_chain(chain):
+        raise NotAChainError(_NOT_A_CHAIN)
+    return solve_max(chain, formula).value
 
 
 def _walk(
@@ -111,7 +112,7 @@ def _walk(
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
         raise ValueError(f"budget must be a non-negative int, got {budget!r}")
     if not is_chain(chain):
-        raise NotAChainError("process has states with more than one enabled action")
+        raise NotAChainError(_NOT_A_CHAIN)
     require_valid(chain)
 
     stats = {"levels": 0, "linear_solves": 0, "max_numerator_bits": 0}

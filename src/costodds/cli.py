@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .chain_solver import cost_distribution, solve_chain
+from .chain_solver import cost_distribution
 from .errors import CostOddsError, ModelFormatError, NotValidatedError, ThresholdRangeError
 from .formula import normalize, parse, to_text
 from .gadgets import (
@@ -265,14 +265,10 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     process = model_from_json(_load_json(args.model))
     formula = parse(args.formula)
-    if is_chain(process):
-        value = solve_chain(process, formula)
-    elif args.quant is None:
+    if args.quant is None and not is_chain(process):
         print("error: --quant is required for models with choices", file=sys.stderr)
         return 2
-    else:
-        solver = solve_max if args.quant == "exists" else solve_min
-        value = solver(process, formula).value
+    value = (solve_min if args.quant == "forall" else solve_max)(process, formula).value
     payload: dict = {"value": format_rational(value)}
     lines = [f"value {format_rational(value)}"]
     if args.tau is None:

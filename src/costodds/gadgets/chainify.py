@@ -15,10 +15,10 @@ from typing import Mapping
 
 from ..chain_solver import solve_chain
 from ..errors import PreconditionError
-from ..formula import Atom, Formula, Not, parse
+from ..formula import Atom, Formula, Not, Or, _at_least, _between, _exactly
 from ..model import CostChain, _rows, build_chain, is_acyclic
 from ..quantile import ln_upper, tail_budget
-from .circuits import ArithmeticCircuit, check_circuit, lift_gate
+from .circuits import ArithmeticCircuit, lift_gate
 from .parikh import ParikhDfa, circuit_to_dfa
 
 __all__ = [
@@ -164,7 +164,6 @@ def typed_to_chain(
 
 def circuit_to_chain(circuit: ArithmeticCircuit, gate_id: str) -> GadgetCertificate:
     """Cost chain whose probability of total cost T is val(gate)/m exactly."""
-    check_circuit(circuit)
     level = circuit.gate(gate_id).level
     if level % 2 == 0:
         raise PreconditionError(
@@ -202,7 +201,6 @@ def posslp_instance(
     with probability below 1/m. The formula accepts cost T, every
     second-branch cost except H+1+T, and nothing else.
     """
-    check_circuit(circuit)
     work, lifted_first, lifted_second = _common_odd_level(circuit, first, second)
     cert_first = circuit_to_chain(work, lifted_first)
     cert_second = circuit_to_chain(work, lifted_second)
@@ -223,8 +221,9 @@ def posslp_instance(
             if state != chain.target
         )
     combined = build_chain(entries, "src", "t")
-    formula = parse(
-        f"x={target} | {offset + 1}<=x<={offset + target} | x>={offset + target + 2}"
+    formula = Or(
+        Or(_exactly(target), _between(offset + 1, offset + target)),
+        _at_least(offset + target + 2),
     )
     certificate = GadgetCertificate(
         model=combined,

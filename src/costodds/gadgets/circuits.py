@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..errors import ModelFormatError, PreconditionError
+from ..rational import _digits
 
 __all__ = [
     "Gate",
@@ -43,10 +44,20 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class ArithmeticCircuit:
-    """A normal-form circuit: gates in topological order plus designated outputs."""
+    """A normal-form circuit: gates in topological order plus designated outputs.
+
+    Construction stores both as tuples and runs ``check_circuit``, so
+    every circuit object is in normal form; malformed gates raise
+    ``PreconditionError``.
+    """
 
     gates: tuple[Gate, ...]
     outputs: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+        check_circuit(self)
 
     @cached_property
     def by_id(self) -> Mapping[str, Gate]:
@@ -63,36 +74,20 @@ def make_circuit(
     gates: Iterable[tuple[str, str, Iterable[str]]],
     outputs: Iterable[str] = (),
 ) -> ArithmeticCircuit:
-    """Assemble a circuit from (id, kind, inputs) rows and check normal form.
+    """Assemble a circuit from (id, kind, inputs) rows; the circuit checks itself.
 
-    Rows must list a gate's inputs before the gate itself; levels are
-    derived (leaves at 0, otherwise one above the inputs).
+    Rows must list a gate's inputs before the gate itself. Levels are
+    derived: one above the first input for a binary gate, 0 otherwise,
+    also when that input is not yet defined, which the check then names.
     """
-    built: dict[str, Gate] = {}
+    levels: dict[str, int] = {}
     order: list[Gate] = []
     for gate_id, kind, inputs in gates:
         ins = tuple(inputs)
-        if gate_id in built:
-            raise PreconditionError(f"duplicate gate id {gate_id!r}")
-        if kind in LEAF_KINDS:
-            level = 0
-        elif kind in BINARY_KINDS:
-            for ref in ins:
-                if ref not in built:
-                    raise PreconditionError(
-                        f"gate {gate_id!r} uses {ref!r} before it is defined"
-                    )
-            if len(ins) != 2:
-                raise PreconditionError(f"gate {gate_id!r} needs exactly two inputs")
-            level = built[ins[0]].level + 1
-        else:
-            raise PreconditionError(f"gate {gate_id!r} has unknown kind {kind!r}")
-        gate = Gate(gate_id, kind, ins, level)
-        built[gate_id] = gate
-        order.append(gate)
-    circuit = ArithmeticCircuit(tuple(order), tuple(outputs))
-    check_circuit(circuit)
-    return circuit
+        level = levels[ins[0]] + 1 if kind in BINARY_KINDS and ins and ins[0] in levels else 0
+        levels[gate_id] = level
+        order.append(Gate(gate_id, kind, ins, level))
+    return ArithmeticCircuit(tuple(order), tuple(outputs))
 
 
 def check_circuit(circuit: ArithmeticCircuit) -> None:
@@ -134,7 +129,6 @@ def check_circuit(circuit: ArithmeticCircuit) -> None:
 
 def eval_circuit(circuit: ArithmeticCircuit, gate_id: str) -> int:
     """Value of a gate by bottom-up evaluation."""
-    check_circuit(circuit)
     circuit.gate(gate_id)
     values: dict[str, int] = {}
     for gate in circuit.gates:
@@ -251,9 +245,7 @@ class _Builder:
         return self.combine(self.raise_to(left, level), self.raise_to(right, level))
 
     def circuit(self, outputs: Iterable[str] = ()) -> ArithmeticCircuit:
-        result = ArithmeticCircuit(tuple(self._order), tuple(outputs))
-        check_circuit(result)
-        return result
+        return ArithmeticCircuit(tuple(self._order), tuple(outputs))
 
 
 def lift_gate(circuit: ArithmeticCircuit, gate_id: str) -> tuple[ArithmeticCircuit, str]:
@@ -262,7 +254,6 @@ def lift_gate(circuit: ArithmeticCircuit, gate_id: str) -> tuple[ArithmeticCircu
     Returns the extended circuit and the id of the lifted copy; the
     copy's value equals the original gate's value.
     """
-    check_circuit(circuit)
     gate = circuit.gate(gate_id)
     builder = _Builder(circuit, prefix="lift")
     lifted = builder.raise_to(gate_id, gate.level + 1)
@@ -361,7 +352,7 @@ def _gate_id(value: object, pos: int) -> str:
     if isinstance(value, str) and value:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
+        return _digits(value)
     raise ModelFormatError(f"gate #{pos}: ids must be strings or integers")
 
 

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 
 from ..errors import GuardExceededError, ModelFormatError, PreconditionError
 from ..model import CostProcess, _fresh_name, build_process
+from ..rational import _digits
 
 __all__ = [
     "CountdownGame",
@@ -90,7 +91,7 @@ def countdown_to_process(game: CountdownGame) -> tuple[CostProcess, int]:
             options = list(game.moves[(state, step)]) + [counter[0]]
             share = Fraction(1, len(options))
             for destination in options:
-                entries.append((state, str(step), destination, step, share))
+                entries.append((state, _digits(step), destination, step, share))
     for i, state in enumerate(counter):
         following = counter[i + 1] if i + 1 < bits else target
         entries.append((state, "a0", following, 0, Fraction(1)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import GuardExceededError, PreconditionError
-from .circuits import ArithmeticCircuit, check_circuit
+from .circuits import ArithmeticCircuit
 
 __all__ = ["ParikhDfa", "circuit_to_dfa", "count_parikh_paths", "PATH_GUARD"]
 
@@ -56,7 +56,6 @@ def circuit_to_dfa(
         PreconditionError: for a gate above level 3, where the count is
             not exact.
     """
-    check_circuit(circuit)
     top = circuit.gate(gate_id).level
     if top > _MAX_LEVEL:
         raise PreconditionError(

@@ -7,6 +7,7 @@ from fractions import Fraction
 from ..errors import PreconditionError, ThresholdRangeError
 from ..formula import Formula, normalize
 from ..model import CostProcess, _fresh_name, _rows, build_process
+from ..rational import _digits
 
 __all__ = ["threshold_to_half"]
 
@@ -29,11 +30,15 @@ def threshold_to_half(
     """
     if not 0 <= threshold <= 1:
         raise ThresholdRangeError(f"threshold must be in [0, 1], got {threshold}")
+    for name, cost in (("miss", miss_cost), ("hit", hit_cost)):
+        if not isinstance(cost, int) or isinstance(cost, bool) or cost < 0:
+            shown = _digits(cost) if isinstance(cost, int) else repr(cost)
+            raise PreconditionError(f"{name} cost must be a non-negative int, got {shown}")
     accept = normalize(formula)
     if miss_cost in accept:
-        raise PreconditionError(f"miss cost {miss_cost} satisfies the formula")
+        raise PreconditionError(f"miss cost {_digits(miss_cost)} satisfies the formula")
     if hit_cost not in accept:
-        raise PreconditionError(f"hit cost {hit_cost} violates the formula")
+        raise PreconditionError(f"hit cost {_digits(hit_cost)} violates the formula")
     if threshold == Fraction(1, 2):
         return process
 

@@ -183,7 +183,7 @@ def induce_chain(process: CostProcess, scheduler: Scheduler) -> CostChain:
         return build_chain([], target, target)
 
     def name(state: str, cost: "int | str") -> str:
-        return f"{state}@{cost}"
+        return f"{state}@{_digits(cost)}"
 
     start = (process.initial, 0 if scheduler.budget >= 0 else TOP)
     seen = {start}

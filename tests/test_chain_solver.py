@@ -97,8 +97,12 @@ def test_initial_equals_target():
 
 
 def test_solve_chain_rejects_processes_with_choices():
-    with pytest.raises(NotAChainError):
-        co.solve_chain(choice_example(), co.parse("x<=5"))
+    # The second also fails validation; the chain check comes first.
+    invalid = co.build_process([("q0", "a", "t", 1, HALF), ("q0", "b", "t", 2, ONE)], "q0", "t")
+    assert not co.validate(invalid).ok
+    for process in (choice_example(), invalid):
+        with pytest.raises(NotAChainError, match="more than one enabled action"):
+            co.solve_chain(process, co.parse("x<=5"))
 
 
 def test_solve_chain_rejects_invalid_models():
@@ -146,6 +150,25 @@ def test_complement_probabilities_sum_to_one():
         formula = random_formula(rng)
         total = co.solve_chain(chain, formula) + co.solve_chain(chain, co.Not(formula))
         assert total == 1
+
+
+def test_solve_chain_agrees_with_the_walk_on_multi_span_formulas():
+    # solve_chain runs the MDP sweep and cost_distribution the level walk:
+    # the value is the accepted mass, plus the overflow when every cost
+    # past the largest constant is accepted.
+    rng = Random(35)
+    for index in range(60):
+        chain = mixed_denominator_chain(rng) if index % 2 else random_chain(rng)
+        a = rng.randint(0, 30)
+        b = rng.randint(a, 40)
+        for text in (f"x<={a} | x>={b}", f"{a}<=x<={b}", f"!(x={a})"):
+            formula = co.parse(text)
+            budget = co.max_constant(formula)
+            dist = co.cost_distribution(chain, budget)
+            value = sum((p for cost, p in dist.mass.items() if co.satisfies(cost, formula)), Fraction(0))
+            if co.satisfies(budget + 1, formula):
+                value += dist.overflow
+            assert co.solve_chain(chain, formula) == value, text
 
 
 def test_stats_are_plain_counters():

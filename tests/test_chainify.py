@@ -1,5 +1,6 @@
 """Circuit-to-chain pipeline: hit probabilities encode gate values exactly."""
 
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -240,6 +241,18 @@ def test_comparison_handles_cyclic_square_chains():
         chain, formula, _ = posslp_instance(circuit, first, second)
         verdict = co.solve_chain(chain, formula) >= Fraction(1, 2)
         assert verdict == (eval_circuit(circuit, first) >= eval_circuit(circuit, second))
+
+
+def test_offsets_past_the_digit_cap_build_the_parsed_formula(digit_cap):
+    # 14 level-1 gates make an H of about 830 digits, past the smallest cap.
+    circuit = make_circuit([("one", "one", ())] + [(f"g{i}", "plus", ("one", "one")) for i in range(14)])
+    sys.set_int_max_str_digits(640)
+    _, formula, cert = posslp_instance(circuit, "g0", "g1")
+    sys.set_int_max_str_digits(0)  # to build the expected text; the fixture restores it
+    offset, target = cert.bookkeeping["H"], cert.bookkeeping["T"]
+    assert len(str(offset)) > 640
+    text = f"x={target} | {offset + 1}<=x<={offset + target} | x>={offset + target + 2}"
+    assert formula == co.parse(text)
 
 
 def test_gates_lifted_above_level_three_are_refused():

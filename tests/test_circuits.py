@@ -7,6 +7,8 @@ import pytest
 import costodds as co
 from costodds import ModelFormatError, PreconditionError
 from costodds.gadgets import (
+    ArithmeticCircuit,
+    Gate,
     check_circuit,
     circuit_from_json,
     circuit_to_json,
@@ -69,6 +71,45 @@ def test_eval_unknown_gate():
 def test_make_circuit_rejects_malformed_rows(rows):
     with pytest.raises(PreconditionError):
         make_circuit(rows)
+
+
+ONE = Gate("one", "one", (), 0)
+
+
+@pytest.mark.parametrize(
+    "gates, outputs, message",
+    [
+        ([ONE, ONE], (), "duplicate gate id"),
+        ([Gate("one", "one", ("one",), 0)], (), "must not have inputs"),
+        ([Gate("one", "one", (), 1)], (), "must sit on level 0"),
+        ([ONE, Gate("g", "plus", ("one", "h"), 1)], (), "before it is defined"),
+        ([ONE, Gate("g", "plus", ("one", "one"), 2)], (), "expected 1"),
+        ([ONE, Gate("g", "times", ("one", "one"), 1)], (), "must be 'plus'"),
+        ([ONE, Gate("g", "minus", ("one", "one"), 1)], (), "unknown kind"),
+        ([ONE], ("ghost",), "is not a gate"),
+    ],
+    ids=["duplicate", "leaf-inputs", "leaf-level", "undefined", "level-gap", "kind", "unknown", "output"],
+)
+def test_circuits_check_themselves_when_built(gates, outputs, message):
+    with pytest.raises(PreconditionError, match=message):
+        ArithmeticCircuit(gates, outputs)
+
+
+def test_circuits_store_tuples():
+    circuit = ArithmeticCircuit([ONE, Gate("g", "plus", ("one", "one"), 1)], ["g"])
+    assert circuit.gates == (ONE, Gate("g", "plus", ("one", "one"), 1))
+    assert circuit.outputs == ("g",)
+
+
+def test_one_undefined_input_is_an_arity_fault():
+    # Two faults at once: the check reports the arity first.
+    with pytest.raises(PreconditionError, match="needs exactly two inputs"):
+        make_circuit([("g", "plus", ("a",))])
+
+
+def test_integer_ids_past_the_digit_cap_load(digit_cap):
+    circuit = circuit_from_json({"gates": [{"id": 10**5000, "kind": "one"}]})
+    assert circuit.gates[0].id == "1" + "0" * 5000
 
 
 def test_outputs_must_exist():

@@ -116,6 +116,12 @@ def test_make_countdown_rejects_bad_input(states, initial, final, moves):
         make_countdown(states, initial, final, moves)
 
 
+def test_moves_past_the_digit_cap_name_their_actions(digit_cap):
+    huge = 10**5000
+    process, _ = countdown_to_process(make_countdown(["s"], "s", 3, [("s", huge, "s")]))
+    assert process.enabled["s"] == ("stop", "1" + "0" * 5000)
+
+
 def test_brute_force_guard():
     huge = make_countdown(["s"], "s", 10**4 + 1, [("s", 1, "s")])
     with pytest.raises(GuardExceededError, match="capped"):

@@ -45,7 +45,7 @@ from helpers import (
 
 def all_stationary_values(formula):
     """Every deterministic choice at q1's two decision points, evaluated
-    by inducing the chain and solving it."""
+    by inducing the chain and solving it with the elimination oracle."""
     process = choice_example()
     values = {}
     for low in ("a1", "a2"):
@@ -55,7 +55,7 @@ def all_stationary_values(formula):
                 entries={("q1", 1): low, ("q1", 3): high, ("q1", TOP): "a1"},
             )
             chain = co.induce_chain(process, scheduler)
-            values[(low, high)] = co.solve_chain(chain, formula)
+            values[(low, high)] = chain_value_oracle(chain, formula)
     return values
 
 
@@ -96,6 +96,7 @@ def test_induced_chain_reproduces_the_optimum():
     chain = co.induce_chain(process, result.scheduler)
     assert co.is_chain(chain)
     assert co.validate(chain).ok
+    assert chain_value_oracle(chain, formula) == result.value
     assert co.solve_chain(chain, formula) == result.value
 
 
@@ -135,6 +136,20 @@ def test_huge_totals_and_scheduler_costs_pass_the_digit_cap(digit_cap):
     doc = co.scheduler_to_json(Scheduler(budget=huge, entries={("q1", huge): "a2"}))
     sys.set_int_max_str_digits(0)  # to build the expected text; the fixture restores it
     assert doc == [{"state": "q1", "cost": str(huge), "action": "a2"}]
+
+
+def test_induced_chains_name_costs_past_the_digit_cap(digit_cap):
+    huge = 10**5000
+    process = co.build_process(
+        [("q0", "a", "q1", huge, ONE), ("q1", "a", "t", 0, ONE), ("q1", "b", "t", 2, ONE)],
+        "q0",
+        "t",
+    )
+    formula = co.Atom(huge + 1)
+    result = co.solve_max(process, formula)
+    induced = co.induce_chain(process, result.scheduler)
+    assert "q1@1" + "0" * 5000 in induced.states
+    assert co.solve_chain(induced, formula) == result.value == 1
 
 
 def test_solvers_reject_invalid_processes():
@@ -202,7 +217,8 @@ def test_chains_collapse_max_min_and_solve_chain():
     for _ in range(25):
         chain = random_chain(rng)
         formula = random_formula(rng)
-        direct = co.solve_chain(chain, formula)
+        direct = chain_value_oracle(chain, formula)
+        assert co.solve_chain(chain, formula) == direct
         assert co.solve_max(chain, formula).value == direct
         assert co.solve_min(chain, formula).value == direct
 
@@ -271,7 +287,7 @@ def test_witness_schedulers_attain_the_reported_value():
         for solver in (co.solve_max, co.solve_min):
             result = solver(process, formula)
             induced = co.induce_chain(process, result.scheduler)
-            assert co.solve_chain(induced, formula) == result.value
+            assert chain_value_oracle(induced, formula) == result.value
 
 
 def has_zero_cost_cycle(process):

@@ -56,6 +56,22 @@ def test_probe_costs_must_split_the_formula():
         threshold_to_half(chain, formula, Fraction(1, 4), 2, 5)
 
 
+@pytest.mark.parametrize("tau", [HALF, Fraction(1, 4), Fraction(3, 4)])
+@pytest.mark.parametrize(
+    "miss, hit, message",
+    [
+        (-3, 2, "miss cost must be a non-negative int, got -3"),
+        (0, 2.5, "hit cost must be a non-negative int, got 2.5"),
+        (True, 2, "miss cost must be a non-negative int, got True"),
+    ],
+    ids=["negative-miss", "fractional-hit", "bool-miss"],
+)
+def test_probe_costs_must_be_non_negative_ints(tau, miss, hit, message):
+    # Checked before the fold, so even a cost the fold would not use is refused.
+    with pytest.raises(PreconditionError, match=message):
+        threshold_to_half(two_flip_chain(), co.parse("x>=2"), tau, miss, hit)
+
+
 def test_threshold_must_be_a_probability():
     chain = two_flip_chain()
     for tau in (Fraction(-1, 4), Fraction(3, 2)):
