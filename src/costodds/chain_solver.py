@@ -28,7 +28,8 @@ with different denominators are rescaled by the quotient when one
 denominator divides the other, to their lcm otherwise. Levels are kept sparse (a heap of
 occupied levels), so huge budgets with few reachable cost values stay
 cheap. Fractions appear only at the boundary: one per mass entry and one
-for the overflow.
+for the overflow. The ``max_numerator_bits`` counter is read off them, so
+the walk itself takes no gcd.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class TruncatedDistribution:
     P(K = cost); ``overflow`` is P(K > budget). The entries and the
     overflow always sum to exactly 1. ``stats`` carries solver counters
     (levels processed, levels whose zero-cost part is cyclic and so
-    counts one linear solve, peak numerator size of a reduced visit
-    count) and does not participate in equality.
+    counts one linear solve, and the bit length of the largest numerator
+    among the reduced masses and the overflow) and does not participate
+    in equality.
     """
 
     budget: int
@@ -87,13 +89,11 @@ def cost_distribution(chain: CostChain, budget: int) -> TruncatedDistribution:
         NotValidatedError: if ``validate`` reports violations.
         ValueError: on a negative or non-integer budget.
     """
-    mass, overflow, stats = _walk(chain, budget)
-    return TruncatedDistribution(
-        budget,
-        {cost: Fraction(num, den) for cost, (num, den) in mass.items()},
-        Fraction(*overflow),
-        stats,
-    )
+    cells, spill, stats = _walk(chain, budget)
+    mass = {cost: Fraction(num, den) for cost, (num, den) in cells.items()}
+    overflow = Fraction(*spill)
+    stats["max_numerator_bits"] = max(p.numerator.bit_length() for p in (*mass.values(), overflow))
+    return TruncatedDistribution(budget, mass, overflow, stats)
 
 
 def solve_chain(chain: CostChain, formula: Formula) -> Fraction:
@@ -108,14 +108,14 @@ def _walk(
     chain: CostChain, budget: int
 ) -> tuple[dict[int, list[int]], list[int], dict[str, int]]:
     """The level walk: mass per cost and the overflow as [numerator,
-    denominator] pairs, unreduced, and the solver counters."""
+    denominator] pairs, unreduced, and the level and solve counters."""
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
         raise ValueError(f"budget must be a non-negative int, got {budget!r}")
     if not is_chain(chain):
         raise NotAChainError(_NOT_A_CHAIN)
     require_valid(chain)
 
-    stats = {"levels": 0, "linear_solves": 0, "max_numerator_bits": 0}
+    stats = {"levels": 0, "linear_solves": 0}
     mass: dict[int, list[int]] = {}
     overflow = [0, 1]
     if chain.initial == chain.target:
@@ -127,7 +127,6 @@ def _walk(
     rows = table.rows
     scale = math.lcm(*(rows[q][0][0] for q in chain.reachable))
     closure_den, closure = _closure(chain, table)
-    max_bits = 0
     pending: dict[int, list] = {0: [1, {chain.initial: 1}]}
     heap = [0]
     while heap:
@@ -153,8 +152,6 @@ def _walk(
         spill = 0
         moves: dict[int, dict[str, int]] = {}
         for q, n in visits.items():
-            if n.bit_length() > max_bits:
-                max_bits = max(max_bits, (n // math.gcd(n, den)).bit_length())
             own, entries = rows[q][0]
             if own != scale:
                 n *= scale // own
@@ -196,7 +193,6 @@ def _walk(
             for q, n in flows.items():
                 nums[q] = nums.get(q, 0) + n * factor
 
-    stats["max_numerator_bits"] = max_bits
     num, den = _total([*mass.values(), overflow])
     assert num == den
     return mass, overflow, stats

@@ -47,8 +47,8 @@ class ArithmeticCircuit:
     """A normal-form circuit: gates in topological order plus designated outputs.
 
     Construction stores both as tuples and runs ``check_circuit``, so
-    every circuit object is in normal form; malformed gates raise
-    ``PreconditionError``.
+    every circuit object is in normal form; malformed gates, and rows
+    that are not ``Gate`` objects of string ids, raise ``PreconditionError``.
     """
 
     gates: tuple[Gate, ...]
@@ -78,14 +78,17 @@ def make_circuit(
 
     Rows must list a gate's inputs before the gate itself. Levels are
     derived: one above the first input for a binary gate, 0 otherwise,
-    also when that input is not yet defined, which the check then names.
+    also when that input is not yet defined or not a string id, which the
+    check then names.
     """
     levels: dict[str, int] = {}
     order: list[Gate] = []
     for gate_id, kind, inputs in gates:
         ins = tuple(inputs)
-        level = levels[ins[0]] + 1 if kind in BINARY_KINDS and ins and ins[0] in levels else 0
-        levels[gate_id] = level
+        first = ins[0] if kind in BINARY_KINDS and ins and isinstance(ins[0], str) else None
+        level = levels[first] + 1 if first in levels else 0
+        if isinstance(gate_id, str):
+            levels[gate_id] = level
         order.append(Gate(gate_id, kind, ins, level))
     return ArithmeticCircuit(tuple(order), tuple(outputs))
 
@@ -94,6 +97,9 @@ def check_circuit(circuit: ArithmeticCircuit) -> None:
     """Raise ``PreconditionError`` unless the circuit is in normal form."""
     seen: dict[str, Gate] = {}
     for gate in circuit.gates:
+        typed = isinstance(gate, Gate) and isinstance(gate.inputs, tuple) and type(gate.level) is int
+        if not typed or not all(isinstance(n, str) for n in (gate.id, gate.kind, *gate.inputs)):
+            raise PreconditionError(f"row {gate!r} is not a Gate of string ids and an int level")
         if gate.id in seen:
             raise PreconditionError(f"duplicate gate id {gate.id!r}")
         if gate.kind in LEAF_KINDS:
@@ -123,7 +129,7 @@ def check_circuit(circuit: ArithmeticCircuit) -> None:
             raise PreconditionError(f"gate {gate.id!r} has unknown kind {gate.kind!r}")
         seen[gate.id] = gate
     for out in circuit.outputs:
-        if out not in seen:
+        if not isinstance(out, str) or out not in seen:
             raise PreconditionError(f"output {out!r} is not a gate")
 
 

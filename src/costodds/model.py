@@ -12,7 +12,9 @@ chain. Two structural assumptions make accumulated cost well defined:
 
 ``validate`` checks both (plus distribution sums) and reports findings as
 data rather than exceptions; solvers refuse processes whose report is not
-clean. Validation, chain-ness, acyclicity and the integer table
+clean. A valid process is cleared in one linear pass; only an invalid one
+pays for the SCC and end-component passes that name its findings.
+Validation, chain-ness, acyclicity and the integer table
 (``CostProcess.int_table``) are cached per instance since models are
 immutable once built.
 """
@@ -226,6 +228,8 @@ class CostProcess:
                 )
             )
 
+        if not findings and not _trapped(rows, self.reachable, self.target):
+            return ValidationReport(True, ())
         edges = {q: _edges(q, rows[q]) for q in self.reachable}
         components = [
             members
@@ -419,7 +423,9 @@ def validate(process: CostProcess) -> ValidationReport:
         target has precisely the mandated zero-cost self-loop, and (c)
         every maximal end component reachable from the initial state is
         the singleton target (equivalently: the target is reached almost
-        surely under every scheduler).
+        surely under every scheduler). A process that passes (a), (b) and
+        the linear check ``_trapped`` is clean at once; any other runs the
+        reachability and end-component passes that name every finding.
     """
     return process._report
 
@@ -429,6 +435,38 @@ def require_valid(process: CostProcess) -> None:
     report = validate(process)
     if not report.ok:
         raise NotValidatedError(report)
+
+
+def _trapped(rows: Mapping[str, tuple], reachable: Iterable[str], target: str) -> bool:
+    """Whether S*, the greatest set of reachable non-target states each with
+    an action whose support stays in it, is non-empty. It holds every end
+    component that avoids the target and every state with no path to it,
+    and a non-empty S* holds an end component: given sound sums and target
+    loop, condition (ii) holds iff S* is empty. Per-action counts of entries
+    outside the set drop states left with no action inside, in linear time.
+    """
+    # Per entry into s: its state, and its action's count of entries outside (a shared list).
+    users: dict[str, list[tuple[str, list[int]]]] = {q: [] for q in reachable if q != target}
+    staying: dict[str, int] = {}
+    for q in users:
+        staying[q] = 0
+        for _, edges in rows[q]:
+            out = [0]
+            for s, _, _ in edges:
+                if s in users:
+                    users[s].append((q, out))
+                else:
+                    out[0] += 1
+            staying[q] += not out[0]
+    gone = [q for q, count in staying.items() if not count]
+    for s in gone:
+        for q, out in users[s]:
+            out[0] += 1
+            if out[0] == 1:
+                staying[q] -= 1
+                if not staying[q]:
+                    gone.append(q)
+    return len(gone) < len(users)
 
 
 def _maximal_end_components(

@@ -226,23 +226,25 @@ def reference_cost_distribution(chain: co.CostChain, budget: int) -> co.Truncate
 
     Each level's zero-cost subgraph is split into strongly connected
     components and resolved one component at a time, with one linear
-    solve counted per level that has a cyclic component.
+    solve counted per level that has a cyclic component. The peak is the
+    bit length of the largest numerator among the masses and the overflow.
     """
     target = chain.target
     dist: dict[str, tuple[co.Transition, ...]] = {
         q: chain.transitions[(q, chain.enabled[q][0])] for q in chain.states
     }
 
-    stats = {"levels": 0, "linear_solves": 0, "max_numerator_bits": 0}
+    stats = {"levels": 0, "linear_solves": 0}
     mass: dict[int, Fraction] = {}
     overflow = Fraction(0)
 
+    pending: dict[int, dict[str, Fraction]] = {}
+    heap: list[int] = []
     if chain.initial == target:
         mass[0] = Fraction(1)
-        return co.TruncatedDistribution(budget, mass, overflow, stats)
-
-    pending: dict[int, dict[str, Fraction]] = {0: {chain.initial: Fraction(1)}}
-    heap = [0]
+    else:
+        pending[0] = {chain.initial: Fraction(1)}
+        heap.append(0)
     while heap:
         level = heapq.heappop(heap)
         inflow = pending.pop(level)
@@ -251,9 +253,6 @@ def reference_cost_distribution(chain: co.CostChain, budget: int) -> co.Truncate
         for q, count in visits.items():
             if count == 0:
                 continue
-            bits = count.numerator.bit_length()
-            if bits > stats["max_numerator_bits"]:
-                stats["max_numerator_bits"] = bits
             for succ, cost, prob, _ in dist[q]:
                 flow = count * prob
                 if succ == target:
@@ -277,6 +276,7 @@ def reference_cost_distribution(chain: co.CostChain, budget: int) -> co.Truncate
                             bucket[succ] = bucket.get(succ, Fraction(0)) + flow
 
     assert sum(mass.values(), overflow) == 1
+    stats["max_numerator_bits"] = max(p.numerator.bit_length() for p in [*mass.values(), overflow])
     return co.TruncatedDistribution(budget, mass, overflow, stats)
 
 
@@ -737,6 +737,83 @@ def random_formula(rng: Random, max_bound: int = 6) -> co.CostFormula:
         other = leaf()
         formula = co.And(formula, other) if rng.random() < 0.5 else co.Or(formula, other)
     return formula
+
+
+def any_process(rng: Random, max_states: int = 5) -> co.CostProcess:
+    """A process that may break any validation rule, or none.
+
+    Each non-target state gets one to three actions of one to three
+    edges; an action's first edge usually points toward the target, the
+    others anywhere. Some distributions miss 1, some target loops carry a
+    utility or a cost, leave the target or come with a second action, and
+    the initial state is drawn, so the states before it are often never
+    reached.
+    """
+    names = [f"q{i}" for i in range(rng.randint(1, max_states) - 1)] + ["t"]
+    n = len(names)
+    entries = []
+    for i, state in enumerate(names[:-1]):
+        for action in "abc"[: rng.choice((1, 1, 2, 2, 3))]:
+            width = rng.randint(1, 3)
+            probs = [Fraction(1, width)] * width
+            if rng.random() < 0.05:
+                probs[0] = rng.choice((Fraction(1, width + 1), Fraction(2, width + 1)))
+            for k, prob in enumerate(probs):
+                forward = k == 0 and rng.random() < 0.6
+                j = rng.randint(i + 1, n - 1) if forward else rng.randrange(n)
+                entries.append((state, action, names[j], rng.randint(0, 2), prob))
+    entries += rng.choice(
+        [
+            [("t", "a", "t", 0, ONE, 1)],
+            [("t", "a", "t", 1, ONE)],
+            [("t", "a", "t", 0, HALF), ("t", "a", names[0], 0, HALF)],
+            [("t", "a", "t", 0, ONE), ("t", "b", "t", 0, ONE)],
+        ]
+        if rng.random() < 0.1
+        else [[]]
+    )
+    return co.build_process(entries, rng.choice(names), "t", names)
+
+
+def validity_oracle(process: co.CostProcess) -> bool:
+    """``validate(process).ok`` from the definitions, by enumeration.
+
+    Every distribution sums to 1; the target's one action is a zero-cost,
+    zero-utility self-loop of probability 1; and under every stationary
+    deterministic scheduler, each state reachable under it has a path to
+    the target under it. The last is condition (ii), since some
+    stationary deterministic scheduler attains the least probability of
+    reaching the target, and a finite chain reaches it almost surely iff
+    every reachable state has a path to it.
+    """
+    if any(sum(t.prob for t in row) != 1 for row in process.transitions.values()):
+        return False
+    target = process.target
+    loops = [process.transitions[(target, a)] for a in process.enabled[target]]
+    if loops != [((target, 0, ONE, 0),)]:
+        return False
+    states = process.states
+    for choice in itertools.product(*(process.enabled[q] for q in states)):
+        succ = {
+            q: {t.successor for t in process.transitions[(q, a)]} for q, a in zip(states, choice)
+        }
+        seen = {process.initial}
+        frontier = [process.initial]
+        while frontier:
+            for r in succ[frontier.pop()] - seen:
+                seen.add(r)
+                frontier.append(r)
+        reaching = {target}
+        grown = True
+        while grown:
+            grown = False
+            for q in states:
+                if q not in reaching and succ[q] & reaching:
+                    reaching.add(q)
+                    grown = True
+        if not seen <= reaching:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 
-import pytest
-
 import costodds as co
 from costodds import PreconditionError
 from costodds.gadgets import (

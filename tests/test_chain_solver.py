@@ -92,6 +92,7 @@ def test_initial_equals_target():
     dist = co.cost_distribution(chain, 5)
     assert dict(dist.mass) == {0: ONE}
     assert dist.overflow == 0
+    assert dist.stats["max_numerator_bits"] == 1
     assert co.solve_chain(chain, co.parse("x<=0")) == 1
     assert co.solve_chain(chain, co.parse("x>=1")) == 0
 
@@ -175,6 +176,19 @@ def test_stats_are_plain_counters():
     stats = co.cost_distribution(geometric_chain(), 4).stats
     assert set(stats) == {"levels", "linear_solves", "max_numerator_bits"}
     assert all(isinstance(v, int) and v >= 0 for v in stats.values())
+
+
+def test_peak_bits_are_read_off_the_reduced_answer():
+    # The counter is the largest reduced numerator's bit length over the
+    # masses and the overflow, on the trivial chain too.
+    rng = Random(36)
+    chains = [random_chain(rng) for _ in range(40)]
+    chains += [mixed_denominator_chain(rng) for _ in range(40)]
+    for chain in [*chains, co.build_chain([], "t", "t")]:
+        for budget in (0, rng.randint(1, 12), 30):
+            dist = co.cost_distribution(chain, budget)
+            peak = max(p.numerator.bit_length() for p in [*dist.mass.values(), dist.overflow])
+            assert dist.stats["max_numerator_bits"] == peak
 
 
 def assert_same_walk(dist, reference):

@@ -4,7 +4,6 @@ from random import Random
 
 import pytest
 
-import costodds as co
 from costodds import ModelFormatError, PreconditionError
 from costodds.gadgets import (
     ArithmeticCircuit,
@@ -99,6 +98,15 @@ def test_circuits_store_tuples():
     circuit = ArithmeticCircuit([ONE, Gate("g", "plus", ("one", "one"), 1)], ["g"])
     assert circuit.gates == (ONE, Gate("g", "plus", ("one", "one"), 1))
     assert circuit.outputs == ("g",)
+
+
+def test_rows_that_are_not_gates_are_named():
+    # A plain tuple, and a list among the inputs: neither escapes as a
+    # bare AttributeError or TypeError.
+    with pytest.raises(PreconditionError, match=r"row \('one', 'one', \(\), 0\) is not a Gate"):
+        ArithmeticCircuit([("one", "one", (), 0)], ())
+    with pytest.raises(PreconditionError, match=r"\(\['a'\], 'b'\), level=0\) is not a Gate"):
+        make_circuit([("g", "plus", (["a"], "b"))])
 
 
 def test_one_undefined_input_is_an_arity_fault():

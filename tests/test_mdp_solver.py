@@ -39,7 +39,6 @@ from helpers import (
     random_formula,
     random_process,
     two_cycle_process,
-    two_flip_chain,
 )
 
 

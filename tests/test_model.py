@@ -14,11 +14,13 @@ from costodds.model import _rows
 from helpers import (
     HALF,
     ONE,
+    any_process,
     choice_example,
     geometric_chain,
     mixed_denominator_process,
     random_process,
     two_flip_chain,
+    validity_oracle,
     with_utilities,
 )
 
@@ -273,6 +275,37 @@ def test_unreachable_states_do_not_matter():
         [("q0", "t", 1, ONE), ("orphan", "orphan", 1, ONE)], "q0", "t"
     )
     assert co.validate(chain).ok
+
+
+def test_validation_agrees_with_the_scheduler_oracle():
+    # Every kind of fault, alone and together: the verdict equals the
+    # oracle's, and an invalid process names at least one finding.
+    rng = Random(51)
+    seen = dict.fromkeys(
+        ["ok", "bad-distribution", "target-utility", "unreachable-target", "bad-mec-only",
+         "unreached-trap"],
+        0,
+    )
+    for _ in range(6000):
+        process = any_process(rng)
+        report = co.validate(process)
+        assert report.ok == validity_oracle(process), co.model_to_json(process)
+        assert bool(report.violations) == (not report.ok)
+        codes = {f.code for f in report.violations}
+        seen["ok"] += report.ok
+        seen["bad-distribution"] += "bad-distribution" in codes
+        seen["target-utility"] += any(
+            t.utility for a in process.enabled["t"] for t in process.transitions[("t", a)]
+        )
+        seen["unreachable-target"] += "unreachable-target" in codes
+        seen["bad-mec-only"] += codes == {"bad-mec"}
+        seen["unreached-trap"] += report.ok and any(
+            not co.validate(
+                co.CostProcess(process.states, q, "t", process.enabled, process.transitions)
+            ).ok
+            for q in set(process.states) - process.reachable
+        )
+    assert min(seen.values()) >= 100, seen
 
 
 def test_build_rejects_bad_probabilities_and_costs():
