@@ -83,14 +83,22 @@ def make_circuit(
     """
     levels: dict[str, int] = {}
     order: list[Gate] = []
-    for gate_id, kind, inputs in gates:
-        ins = tuple(inputs)
+    for gate_id, kind, ins in map(_unpack, gates):
         first = ins[0] if kind in BINARY_KINDS and ins and isinstance(ins[0], str) else None
         level = levels[first] + 1 if first in levels else 0
         if isinstance(gate_id, str):
             levels[gate_id] = level
         order.append(Gate(gate_id, kind, ins, level))
     return ArithmeticCircuit(tuple(order), tuple(outputs))
+
+
+def _unpack(row: object) -> tuple[object, object, tuple]:
+    """An (id, kind, inputs) row with its inputs as a tuple, or ``PreconditionError``."""
+    try:
+        gate_id, kind, inputs = row
+        return gate_id, kind, tuple(inputs)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"row {row!r} is not an (id, kind, inputs) triple") from None
 
 
 def check_circuit(circuit: ArithmeticCircuit) -> None:
@@ -279,8 +287,10 @@ def normalize_circuit(
     """
     builder = _Builder()
     rails: dict[str, tuple[str, str]] = {}
-    for raw_id, kind, inputs in gates:
-        ins = tuple(inputs)
+    for row in gates:
+        raw_id, kind, ins = _unpack(row)
+        if not all(isinstance(n, str) for n in (raw_id, kind, *ins)):
+            raise PreconditionError(f"row {row!r} needs a string id, kind and inputs")
         if raw_id in rails:
             raise PreconditionError(f"duplicate gate id {raw_id!r}")
         if kind in ("zero", "one"):
@@ -309,7 +319,7 @@ def normalize_circuit(
             rails[raw_id] = (pos, neg)
     out_ids = []
     for out in outputs:
-        if out not in rails:
+        if not isinstance(out, str) or out not in rails:
             raise PreconditionError(f"output {out!r} is not a gate")
         out_ids.append(rails[out][0])
     return builder.circuit(out_ids), rails

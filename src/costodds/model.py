@@ -12,8 +12,9 @@ chain. Two structural assumptions make accumulated cost well defined:
 
 ``validate`` checks both (plus distribution sums) and reports findings as
 data rather than exceptions; solvers refuse processes whose report is not
-clean. A valid process is cleared in one linear pass; only an invalid one
-pays for the SCC and end-component passes that name its findings.
+clean. One greatest fixpoint, ``_trapped``, serves every check: it clears
+a valid process in one linear pass, and for an invalid one it names the
+stranded states and shrinks each end-component candidate.
 Validation, chain-ness, acyclicity and the integer table
 (``CostProcess.int_table``) are cached per instance since models are
 immutable once built.
@@ -228,21 +229,14 @@ class CostProcess:
                 )
             )
 
-        if not findings and not _trapped(rows, self.reachable, self.target):
+        trapped = _trapped(rows, self.reachable - {self.target})
+        if not findings and not trapped:
             return ValidationReport(True, ())
-        edges = {q: _edges(q, rows[q]) for q in self.reachable}
-        components = [
-            members
-            for members, _ in strongly_connected(sorted(self.reachable), edges.__getitem__)
-        ]
-        # Tarjan emits each component after all it reaches, so a component
-        # reaches the target if it holds it or has an edge into one that does.
-        reaching: set[str] = set()
-        for members in components:
-            linked = any(not reaching.isdisjoint(edges[q]) for q in members)
-            if linked or self.target in members:
-                reaching.update(members)
-        stranded = sorted(self.reachable - reaching)
+        # A state has no path to the target iff none of its successors has
+        # one, so the stranded states are the fixpoint with each state's
+        # actions merged into one. They all lie in S*, so only S* is searched.
+        merged = {q: [(1, [e for _, edges in rows[q] for e in edges])] for q in trapped}
+        stranded = sorted(_trapped(merged, trapped))
         if stranded:
             findings.append(
                 Finding(
@@ -252,7 +246,7 @@ class CostProcess:
                 )
             )
 
-        for component in _maximal_end_components(components, rows):
+        for component in _maximal_end_components(self.reachable, rows):
             if component != frozenset((self.target,)):
                 findings.append(
                     Finding(
@@ -424,8 +418,10 @@ def validate(process: CostProcess) -> ValidationReport:
         every maximal end component reachable from the initial state is
         the singleton target (equivalently: the target is reached almost
         surely under every scheduler). A process that passes (a), (b) and
-        the linear check ``_trapped`` is clean at once; any other runs the
-        reachability and end-component passes that name every finding.
+        the linear check ``_trapped`` is clean at once. Any other names
+        every finding from the same fixpoint: the stranded states are
+        ``_trapped`` over each state's actions merged into one, and the
+        end components come from SCC splits whose candidates shrink by it.
     """
     return process._report
 
@@ -437,16 +433,19 @@ def require_valid(process: CostProcess) -> None:
         raise NotValidatedError(report)
 
 
-def _trapped(rows: Mapping[str, tuple], reachable: Iterable[str], target: str) -> bool:
-    """Whether S*, the greatest set of reachable non-target states each with
-    an action whose support stays in it, is non-empty. It holds every end
-    component that avoids the target and every state with no path to it,
-    and a non-empty S* holds an end component: given sound sums and target
-    loop, condition (ii) holds iff S* is empty. Per-action counts of entries
-    outside the set drop states left with no action inside, in linear time.
+def _trapped(rows: Mapping[str, tuple], states: Iterable[str]) -> set[str]:
+    """S*: the greatest subset of ``states`` in which each state has an
+    action whose support stays inside, by per-action counts of entries
+    outside the set, in linear time. ``rows`` gives each state's actions
+    as ``IntTable.rows`` does.
+
+    Over the reachable non-target states, S* holds every end component
+    that avoids the target and every state with no path to it, and a
+    non-empty S* holds an end component: given sound sums and target
+    loop, condition (ii) holds iff it is empty.
     """
     # Per entry into s: its state, and its action's count of entries outside (a shared list).
-    users: dict[str, list[tuple[str, list[int]]]] = {q: [] for q in reachable if q != target}
+    users: dict[str, list[tuple[str, list[int]]]] = {q: [] for q in states}
     staying: dict[str, int] = {}
     for q in users:
         staying[q] = 0
@@ -466,47 +465,36 @@ def _trapped(rows: Mapping[str, tuple], reachable: Iterable[str], target: str) -
                 staying[q] -= 1
                 if not staying[q]:
                     gone.append(q)
-    return len(gone) < len(users)
+    return users.keys() - gone
 
 
 def _maximal_end_components(
-    components: list[list[str]], rows: Mapping[str, tuple]
+    states: Iterable[str], rows: Mapping[str, tuple]
 ) -> list[frozenset[str]]:
     """Standard iterative SCC-refinement MEC decomposition.
 
-    ``components`` are the strongly connected components of a state set
-    closed under every action, as ``_edges`` links it: the first split.
-    A split into one component is a MEC, and so is a single state with a
-    self-loop action. Every other component of two or more states is a
-    candidate: it shrinks by (1) dropping actions whose support leaves
-    it, (2) dropping states left with no action, then (3) splits again.
+    ``states`` must be closed under every action, as the reachable states
+    are. Each candidate set splits into the strongly connected components
+    of the actions whose support stays in it, the first split over all
+    ``states``. A split into one component is a MEC, and so is a single
+    state with a self-loop action. Every other component of two or more
+    states shrinks to its ``_trapped`` core, the next candidate.
     ``rows`` gives each state's actions as ``IntTable.rows`` does.
     """
     mecs: list[frozenset[str]] = []
-    work = [components]
+    work = [set(states)]
     while work:
-        split = work.pop()
+        current = work.pop()
+        edges = {
+            q: _edges(q, [act for act in rows[q] if all(s in current for s, _, _ in act[1])])
+            for q in current
+        }
+        split = [members for members, _ in strongly_connected(sorted(current), edges.__getitem__)]
         for scc in split:
-            if len(scc) == 1:
-                (q,) = scc
-                if any(all(s == q for s, _, _ in edges) for _, edges in rows[q]):
-                    mecs.append(frozenset(scc))
-            elif len(split) == 1:
+            if len(scc) > 1 and len(split) > 1:
+                work.append(_trapped(rows, scc))
+            elif len(scc) > 1 or _trapped(rows, scc):
                 mecs.append(frozenset(scc))
-            else:
-                current = set(scc)
-                while True:
-                    kept = {
-                        q: [act for act in rows[q] if all(s in current for s, _, _ in act[1])]
-                        for q in current
-                    }
-                    doomed = [q for q, acts in kept.items() if not acts]
-                    if not doomed:
-                        break
-                    current.difference_update(doomed)
-                edges = {q: _edges(q, kept[q]) for q in current}
-                children = strongly_connected(sorted(current), edges.__getitem__)
-                work.append([members for members, _ in children])
     return mecs
 
 

@@ -775,6 +775,81 @@ def any_process(rng: Random, max_states: int = 5) -> co.CostProcess:
     return co.build_process(entries, rng.choice(names), "t", names)
 
 
+def local_process(rng: Random, max_states: int = 30) -> co.CostProcess:
+    """A process whose edges mostly stay within three places of their source.
+
+    Each non-target state gets one to three actions of one to three edges,
+    nine in ten of them local, so most processes hold several end
+    components, nested cycles and stranded states. In three of ten, q0
+    also has an action whose probabilities sum to 1/2.
+    """
+    names = [f"q{i}" for i in range(rng.randint(2, max_states) - 1)] + ["t"]
+    n = len(names)
+    entries = []
+    for i, state in enumerate(names[:-1]):
+        for action in "abc"[: rng.randint(1, 3)]:
+            width = rng.randint(1, 3)
+            for _ in range(width):
+                near = rng.random() < 0.9
+                j = min(n - 1, max(0, i + rng.randint(-3, 3))) if near else rng.randrange(n)
+                entries.append((state, action, names[j], rng.randint(0, 2), Fraction(1, width)))
+    if rng.random() < 0.3:
+        entries.append((names[0], "bad", "t", 0, HALF))
+    return co.build_process(entries, "q0", "t", names)
+
+
+def peeling_cycle(n: int) -> co.CostProcess:
+    """The cycle q0 -> q1 -> ... -> q(n-1) -> {t, q0}, plus one action of q0
+    whose probabilities sum to 1/3, so ``bad-distribution`` is the only
+    finding. The cycle is no end component: only q(n-1) leaves it, and
+    dropping each state in turn, from q(n-1) back to q0, empties it.
+    """
+    names = [f"q{i}" for i in range(n)]
+    entries = [(q, "a", r, 1, ONE) for q, r in zip(names, names[1:])]
+    entries += [(names[-1], "a", "t", 0, HALF), (names[-1], "a", "q0", 1, HALF)]
+    entries.append(("q0", "b", names[min(1, n - 1)], 0, Fraction(1, 3)))
+    return co.build_process(entries, "q0", "t")
+
+
+def findings_oracle(process: co.CostProcess) -> tuple[tuple[str, ...], set[tuple[str, ...]]]:
+    """The subjects of the ``unreachable-target`` and ``bad-mec`` findings, by enumeration.
+
+    The stranded states are the reachable ones whose forward search misses
+    the target, in sorted order. The end components are the subsets of the
+    reachable states in which each member has an action whose support
+    stays inside and every member reaches every other under those actions;
+    the maximal ones other than the target singleton come back, each sorted.
+    """
+    supports = {
+        q: [{t.successor for t in process.transitions[(q, a)]} for a in process.enabled[q]]
+        for q in process.states
+    }
+
+    def search(start: str, succ: Mapping[str, set[str]]) -> set[str]:
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for r in succ[frontier.pop()] - seen:
+                seen.add(r)
+                frontier.append(r)
+        return seen
+
+    everywhere = {q: set().union(*supports[q]) for q in process.states}
+    reachable = sorted(search(process.initial, everywhere))
+    stranded = tuple(q for q in reachable if process.target not in search(q, everywhere))
+    maximal: list[set[str]] = []
+    for size in range(len(reachable), 0, -1):
+        for subset in itertools.combinations(reachable, size):
+            inside = set(subset)
+            if any(inside <= found for found in maximal):
+                continue
+            kept = {q: set().union(*(s for s in supports[q] if s <= inside)) for q in inside}
+            if all(kept.values()) and all(search(q, kept) == inside for q in inside):
+                maximal.append(inside)
+    mecs = {tuple(sorted(found)) for found in maximal} - {(process.target,)}
+    return stranded, mecs
+
+
 def validity_oracle(process: co.CostProcess) -> bool:
     """``validate(process).ok`` from the definitions, by enumeration.
 

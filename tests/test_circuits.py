@@ -1,5 +1,6 @@
 """Alternating normal-form circuits: structure, evaluation, lifting, dual rails."""
 
+import re
 from random import Random
 
 import pytest
@@ -107,6 +108,25 @@ def test_rows_that_are_not_gates_are_named():
         ArithmeticCircuit([("one", "one", (), 0)], ())
     with pytest.raises(PreconditionError, match=r"\(\['a'\], 'b'\), level=0\) is not a Gate"):
         make_circuit([("g", "plus", (["a"], "b"))])
+
+
+def test_malformed_rows_are_named():
+    # Rows that do not unpack, or that hold unhashable ids, raise the
+    # precondition error that names them, not a bare ValueError or TypeError.
+    calls = [
+        (make_circuit, ("g", "one"), "is not an"),
+        (make_circuit, ("g", "one", 5), "is not an"),
+        (make_circuit, "gate", "is not an"),
+        (normalize_circuit, ("g", "one"), "is not an"),
+        (normalize_circuit, ("g", "one", 5), "is not an"),
+        (normalize_circuit, ("g", "plus", (["a"], "b")), "needs a string"),
+        (normalize_circuit, (["g"], "one", ()), "needs a string"),
+    ]
+    for build, row, named in calls:
+        with pytest.raises(PreconditionError, match=re.escape(f"row {row!r} {named}")):
+            build([row])
+    with pytest.raises(PreconditionError, match=r"output \['g'\] is not a gate"):
+        normalize_circuit([("g", "one", ())], outputs=[["g"]])
 
 
 def test_one_undefined_input_is_an_arity_fault():

@@ -17,6 +17,7 @@ from helpers import (
     choice_example,
     geometric_chain,
     level_four_tower,
+    peeling_cycle,
     two_flip_chain,
     zero_ladder,
 )
@@ -71,6 +72,13 @@ def test_validate_reports_findings(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["ok"] is False
     assert payload["findings"][0]["code"] == "bad-distribution"
+
+
+def test_validate_names_the_one_bad_sum_of_a_long_cycle(capsys, tmp_path):
+    path = write_json(tmp_path, "cycle.json", co.model_to_json(peeling_cycle(10_000)))
+    code, out, _ = run(capsys, "validate", "--model", path)
+    assert code == 2
+    assert out == "bad-distribution at ('q0', 'b'): probabilities sum to 1/3, not 1\n"
 
 
 def test_validate_handles_cost_utility_models(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Model construction, validation findings, and JSON interchange."""
 
+import hashlib
 import math
 import sys
+import time
 from fractions import Fraction
 from random import Random
 
@@ -16,8 +18,11 @@ from helpers import (
     ONE,
     any_process,
     choice_example,
+    findings_oracle,
     geometric_chain,
+    local_process,
     mixed_denominator_process,
+    peeling_cycle,
     random_process,
     two_flip_chain,
     validity_oracle,
@@ -306,6 +311,53 @@ def test_validation_agrees_with_the_scheduler_oracle():
             for q in set(process.states) - process.reachable
         )
     assert min(seen.values()) >= 100, seen
+
+
+def test_findings_agree_with_the_enumeration_oracle():
+    # The stranded set and the maximal end components equal brute force's
+    # on invalid processes of every kind.
+    rng = Random(52)
+    checked = with_mecs = 0
+    while checked < 3000:
+        process = any_process(rng, max_states=7)
+        report = co.validate(process)
+        if report.ok:
+            continue
+        checked += 1
+        stranded, mecs = findings_oracle(process)
+        named = {f.code: f.subject for f in report.violations if f.code != "bad-mec"}
+        found = [f.subject for f in report.violations if f.code == "bad-mec"]
+        assert named.get("unreachable-target", ()) == stranded, co.model_to_json(process)
+        assert sorted(found) == sorted(mecs), co.model_to_json(process)
+        with_mecs += bool(mecs)
+    assert with_mecs >= 500, with_mecs
+
+
+# SHA-256 of the reports below, computed at commit 1e8fc18.
+REPORT_DIGEST = "cba6d31d638c0d90c1e670d5761e3485a5c487410fb637451e4996110105087d"
+
+
+def test_report_order_is_pinned():
+    # Every finding, subject and order, byte for byte: 3 000 processes of
+    # any kind, then 1 000 larger ones, many with several end components.
+    rng = Random(22)
+    digest = hashlib.sha256()
+    processes = [any_process(rng, max_states=12) for _ in range(3000)]
+    processes += [local_process(rng) for _ in range(1000)]
+    for process in processes:
+        digest.update(repr(co.validate(process).violations).encode())
+    assert digest.hexdigest() == REPORT_DIGEST
+
+
+def test_a_long_peeling_cycle_validates_in_time():
+    process = peeling_cycle(10_000)
+    start = time.perf_counter()
+    report = co.validate(process)
+    elapsed = time.perf_counter() - start
+    assert report.violations == (
+        co.Finding("bad-distribution", ("q0", "b"), "probabilities sum to 1/3, not 1"),
+    )
+    assert elapsed < 10, f"validation took {elapsed:.1f} s"
 
 
 def test_build_rejects_bad_probabilities_and_costs():
