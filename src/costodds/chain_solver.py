@@ -10,26 +10,26 @@ one-scheduler case of a process, so one engine answers both.
 The walk reads the chain's cached integer table (``CostProcess.int_table``):
 per state its denominator D_q, the lcm of its probability denominators,
 and its (successor, cost, weight) rows with weight = prob·D_q. Each call
-takes D, the lcm of the reachable states' D_q, so a state that no run
-reaches widens no number. It adds the zero-cost closure N = (I − Z)^-1
-of the zero-cost subgraph Z, as int rows over one common denominator E,
-for the reachable states that have zero-cost edges. The closure reads the chain's zero-cost components
-(``IntTable.components``) and takes one fraction-free solve
-(``linalg.solve_linear_system``) per cyclic one.
+first gives every reachable state its leaving row: the exits (edges that
+cost something or enter the target) by which a run entering the state
+leaves its zero-cost part, as int weights over one denominator. They
+are the rows of N·A_c, with N = (I − Z)^-1 the closure of the zero-cost
+subgraph Z and A_c the exits at cost c, and follow the chain's
+zero-cost components (``IntTable.components``), with one fraction-free
+solve (``linalg.solve_linear_system``) per cyclic one.
 
 The walk then visits cost levels in increasing order. Costs never
-decrease along a run, so mass flows from a level only to strictly higher
-ones, except through zero-cost transitions, which the closure settles in
-one product: a level whose inflow touches a zero-cost state multiplies
-it by N, and the walk skips the zero-cost edges that do not enter the
-target. A pending level is one int denominator and a numerator per
-state. A flow from q lands over den·D as n·(D/D_q)·w; numbers meeting
-with different denominators are rescaled by the quotient when one
-denominator divides the other, to their lcm otherwise. Levels are kept sparse (a heap of
-occupied levels), so huge budgets with few reachable cost values stay
-cheap. Fractions appear only at the boundary: one per mass entry and one
-for the overflow. The ``max_numerator_bits`` counter is read off them, so
-the walk itself takes no gcd.
+decrease along a run and every leaving edge that stays off the target
+costs something, so mass flows from a level only to strictly higher
+ones. A pending level is one int denominator and a numerator per state.
+Its flows land over den·L, with L the lcm of the denominators of the
+rows it visits; numbers meeting with different denominators are
+rescaled by the quotient when one denominator divides the other, to
+their lcm otherwise. Levels are kept sparse (a heap of occupied levels),
+so huge budgets with few reachable cost values stay cheap. Fractions
+appear only at the boundary: one per mass entry and one for the
+overflow. The ``max_numerator_bits`` counter is read off them, so the
+walk itself takes no gcd.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ __all__ = ["TruncatedDistribution", "cost_distribution", "solve_chain"]
 
 _NOT_A_CHAIN = "process has states with more than one enabled action"
 
-# Per state with zero-cost edges: its row of N as numerators over E, and
-# whether a cyclic zero-cost component is reachable from it.
-_Closure = dict[str, tuple[dict[str, int], bool]]
+# A state's leaving row: a denominator and its (successor, cost, weight) exits.
+_Row = tuple[int, tuple[tuple[str, int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -62,10 +61,10 @@ class TruncatedDistribution:
     ``mass`` maps each cost in [0, budget] with nonzero probability to
     P(K = cost); ``overflow`` is P(K > budget). The entries and the
     overflow always sum to exactly 1. ``stats`` carries solver counters
-    (levels processed, levels whose zero-cost part is cyclic and so
-    counts one linear solve, and the bit length of the largest numerator
-    among the reduced masses and the overflow) and does not participate
-    in equality.
+    (levels processed, levels that visit a state from which a cyclic
+    zero-cost component is reachable and so count one linear solve, and
+    the bit length of the largest numerator among the reduced masses and
+    the overflow) and does not participate in equality.
     """
 
     budget: int
@@ -123,36 +122,21 @@ def _walk(
         return mass, overflow, stats
 
     target = chain.target
-    table = chain.int_table
-    rows = table.rows
-    scale = math.lcm(*(rows[q][0][0] for q in chain.reachable))
-    closure_den, closure = _closure(chain, table)
+    leaving, looped = _leaving_rows(chain, chain.int_table)
     pending: dict[int, list] = {0: [1, {chain.initial: 1}]}
     heap = [0]
     while heap:
         level = heapq.heappop(heap)
         den, visits = pending.pop(level)
-        if closure and not closure.keys().isdisjoint(visits):
-            inflow, visits = visits, {}
-            cyclic = False
-            for q, n in inflow.items():
-                entry = closure.get(q)
-                if entry is None:
-                    visits[q] = visits.get(q, 0) + n * closure_den
-                    continue
-                row, looped = entry
-                cyclic = cyclic or looped
-                for r, c in row.items():
-                    visits[r] = visits.get(r, 0) + n * c
-            den *= closure_den
-            stats["linear_solves"] += cyclic
         stats["levels"] += 1
+        stats["linear_solves"] += not looped.isdisjoint(visits)
 
         hits: dict[int, int] = {}
         spill = 0
         moves: dict[int, dict[str, int]] = {}
+        scale = math.lcm(*(leaving[q][0] for q in visits))
         for q, n in visits.items():
-            own, entries = rows[q][0]
+            own, entries = leaving[q]
             if own != scale:
                 n *= scale // own
             for succ, cost, weight in entries:
@@ -161,7 +145,7 @@ def _walk(
                     spill += n * weight
                 elif succ == target:
                     hits[total] = hits.get(total, 0) + n * weight
-                elif cost:
+                else:
                     bucket = moves.get(total)
                     if bucket is None:
                         moves[total] = {succ: n * weight}
@@ -198,71 +182,64 @@ def _walk(
     return mass, overflow, stats
 
 
-def _closure(chain: CostChain, table: IntTable) -> tuple[int, _Closure]:
-    """Rows of N = (I − Z)^-1 over E for reachable states with zero-cost edges.
+def _leaving_rows(chain: CostChain, table: IntTable) -> tuple[dict[str, _Row], set[str]]:
+    """Per reachable state, the row by which a run entering it leaves its
+    zero-cost part, and the states that reach a cyclic zero-cost component.
 
-    Row q of N holds the expected visits to each state of a run that
-    enters q and moves along zero-cost edges only:
-    N[q] = e_q + Σ (w/D_q)·N[u] over q's zero-cost edges (q, u, w). The
-    table's ``components`` come after every component they reach, so the
-    rows outside a component are known when it comes. Its members'
-    rows then solve D_q·N[q] − Σ_inside w·N[u] = D_q·e_q + Σ_outside w·N[u],
-    scaled by the lcm L of the outside rows' denominators: directly for
-    a lone state, by one fraction-free solve for a cyclic component. A
-    state without zero-cost edges has the unit row and is left out.
-    Rows are reduced, so the order of a component's members is moot.
+    A row is (denominator, (successor, cost, weight) entries) over the
+    exits: the edges that cost something or enter the target. A state
+    without zero-cost edges keeps its table row. Otherwise
+    D_q·L[q] = Σ_exits w·e_(s,c) + Σ_zero w·L[u]. The table's
+    ``components`` come after every component they reach, so a
+    successor outside the component already has its row. The members'
+    rows then solve D_q·L[q] − Σ_inside w·L[u] = the rest, scaled by
+    the lcm of the outside rows' denominators, with one column per
+    distinct (successor, cost) exit: directly for a lone state, by one
+    fraction-free solve for a cyclic component. Rows are reduced, so
+    the order of a component's members is moot.
     """
     target = chain.target
-    zero: dict[str, tuple[int, list[tuple[str, int]]]] = {}
-    for q in chain.reachable:
-        own, entries = table.rows[q][0]
-        edges = [(succ, w) for succ, cost, w in entries if not cost and succ != target]
-        if edges:
-            zero[q] = own, edges
-    found: dict[str, tuple[int, dict[str, int], bool]] = {}
+    leaving: dict[str, _Row] = {}
+    looped: set[str] = set()
     for members, cyclic in table.components:
-        if members[0] not in zero:
+        if members[0] not in chain.reachable:
+            continue
+        zero = {
+            q: [(u, w) for u, cost, w in table.rows[q][0][1] if not cost and u != target]
+            for q in members
+        }
+        if not cyclic and not zero[members[0]]:
+            leaving[members[0]] = table.rows[members[0]][0]
             continue
         index = {q: i for i, q in enumerate(members)}
-        outside = {
-            u: found.get(u) or (1, {u: 1}, False)
-            for q in members
-            for u, _ in zero[q][1]
-            if u not in index
-        }
-        lcm_out = math.lcm(*(den for den, _, _ in outside.values()))
-        columns = dict(index)
-        for _, entries, _ in outside.values():
-            for r in entries:
-                columns.setdefault(r, len(columns))
+        outside = {u for q in members for u, _ in zero[q] if u not in index}
+        lcm_out = math.lcm(*(leaving[u][0] for u in outside))
         matrix = [[0] * len(members) for _ in members]
-        rhs = [[0] * len(columns) for _ in members]
+        sums = []
         for i, q in enumerate(members):
-            own, edges = zero[q]
+            own, entries = table.rows[q][0]
             matrix[i][i] += own
-            rhs[i][i] += own * lcm_out
-            for u, w in edges:
-                j = index.get(u)
-                if j is not None:
-                    matrix[i][j] -= w
+            flows = [(s, c, w * lcm_out) for s, c, w in entries if c or s == target]
+            for u, w in zero[q]:
+                if u in index:
+                    matrix[i][index[u]] -= w
                     continue
-                den, entries, _ = outside[u]
-                factor = w * (lcm_out // den)
-                for r, c in entries.items():
-                    rhs[i][columns[r]] += factor * c
+                den, row = leaving[u]
+                flows += [(s, c, v * w * (lcm_out // den)) for s, c, v in row]
+            merged: dict[tuple[str, int], int] = {}
+            for s, c, w in flows:
+                merged[s, c] = merged.get((s, c), 0) + w
+            sums.append(merged)
+        columns = list(dict.fromkeys(key for exits in sums for key in exits))
+        rhs = [[exits.get(key, 0) for key in columns] for exits in sums]
         det, solution = solve_linear_system(matrix, rhs) if cyclic else (own, rhs)
-        looped = cyclic or any(flag for _, _, flag in outside.values())
+        if cyclic or not looped.isdisjoint(outside):
+            looped.update(members)
         for q, values in zip(members, solution):
             g = math.gcd(det * lcm_out, *values)
-            row = {r: values[j] // g for r, j in columns.items()}
-            found[q] = (det * lcm_out // g, row, looped)
-
-    closure_den = math.lcm(*(den for den, _, _ in found.values()))
-    closure = {
-        q: ({r: c * (closure_den // den) for r, c in row.items()}, looped)
-        for q, (den, row, looped) in found.items()
-    }
-    return closure_den, closure
+            row = tuple((s, c, v // g) for (s, c), v in zip(columns, values))
+            leaving[q] = (det * lcm_out // g, row)
+    return leaving, looped
 
 
 def _common(a: int, b: int) -> int:

@@ -159,18 +159,6 @@ class IntervalSet:
         gaps.append((cursor, None))
         return IntervalSet(tuple(gaps))
 
-    def issubset(self, other: "IntervalSet") -> bool:
-        for lo, hi in self.spans:
-            if not other._covers(lo, hi):
-                return False
-        return True
-
-    def _covers(self, lo: int, hi: int | None) -> bool:
-        for olo, ohi in self.spans:
-            if olo <= lo and (ohi is None or (hi is not None and hi <= ohi)):
-                return True
-        return False
-
 
 _span_start = itemgetter(0)
 

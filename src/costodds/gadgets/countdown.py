@@ -83,11 +83,13 @@ def countdown_to_process(game: CountdownGame) -> tuple[CostProcess, int]:
     counter = [_fresh_name(f"bit{i}", game.states) for i in range(bits)]
     target = _fresh_name("t", game.states)
 
+    steps: dict[str, list[int]] = {}
+    for source, step in game.moves:
+        steps.setdefault(source, []).append(step)
     entries: list[tuple[str, str, str, int, Fraction]] = []
     for state in game.states:
         entries.append((state, "stop", target, 0, Fraction(1)))
-        steps = sorted(step for source, step in game.moves if source == state)
-        for step in steps:
+        for step in sorted(steps.get(state, ())):
             options = list(game.moves[(state, step)]) + [counter[0]]
             share = Fraction(1, len(options))
             for destination in options:

@@ -239,6 +239,12 @@ def test_normalize_rejects_unknown_kinds_and_refs():
         normalize_circuit([("g", "plus", ("a", "b"))])
     with pytest.raises(PreconditionError):
         normalize_circuit([("z", "zero", ())], outputs=["missing"])
+    with pytest.raises(PreconditionError, match="duplicate gate id"):
+        normalize_circuit([("g", "one", ()), ("g", "one", ())])
+    with pytest.raises(PreconditionError, match="must not have inputs"):
+        normalize_circuit([("g", "one", ("a",))])
+    with pytest.raises(PreconditionError, match="needs exactly two inputs"):
+        normalize_circuit([("o", "one", ()), ("g", "plus", ("o",))])
 
 
 def test_json_round_trip():

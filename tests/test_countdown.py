@@ -1,5 +1,6 @@
 """Countdown games: the brute-force win set against the process encoding."""
 
+import time
 from fractions import Fraction
 from random import Random
 
@@ -69,6 +70,23 @@ def test_process_shape():
     assert {row.prob for row in rows} == {Fraction(1, 3)}
     assert [(r.successor, r.cost) for r in process.transitions[("bit1", "a1")]] == [("bit2", 2)]
     assert [(r.successor, r.cost) for r in process.transitions[("bit2", "a0")]] == [("t", 0)]
+
+
+def test_large_games_encode_in_linear_time():
+    # 8 000 states with two moves each: grouping the steps by source in
+    # one pass takes well under a second, where a scan of every move per
+    # state took about 6 s on a 2-core host.
+    n = 8000
+    states = [f"s{i}" for i in range(n)]
+    moves = [(f"s{i}", 1 + i % 3, f"s{(i + 1) % n}") for i in range(n)]
+    moves += [(f"s{i}", 2 + i % 5, f"s{i * 7 % n}") for i in range(n)]
+    game = make_countdown(states, "s0", 50, moves)
+    start = time.perf_counter()
+    process, _ = countdown_to_process(game)
+    assert time.perf_counter() - start < 2.0
+    for i in (0, 4, 7999):
+        steps = sorted({1 + i % 3, 2 + i % 5})
+        assert process.enabled[f"s{i}"] == ("stop", *map(str, steps))
 
 
 def test_reserved_names_are_escaped():

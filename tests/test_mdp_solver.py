@@ -15,6 +15,7 @@ import costodds as co
 from costodds import (
     TOP,
     ModelFormatError,
+    NotAChainError,
     NotValidatedError,
     Scheduler,
     SchedulerGapError,
@@ -202,6 +203,8 @@ def test_scheduler_from_json_rejects_malformed_rows(digit_cap):
             co.scheduler_from_json([{"state": "q1", "cost": cost, "action": "a"}])
     with pytest.raises(ModelFormatError):
         co.scheduler_from_json([{"state": "q1", "cost": "1"}])
+    with pytest.raises(ModelFormatError, match="state and action must be strings"):
+        co.scheduler_from_json([{"state": 3, "cost": 0, "action": "a"}])
 
 
 def test_top_entries_serialize():
@@ -220,6 +223,11 @@ def test_chains_collapse_max_min_and_solve_chain():
         assert co.solve_chain(chain, formula) == direct
         assert co.solve_max(chain, formula).value == direct
         assert co.solve_min(chain, formula).value == direct
+
+
+def test_cost_distribution_rejects_processes_with_choices():
+    with pytest.raises(NotAChainError, match="more than one enabled action"):
+        co.cost_distribution(choice_example(), 5)
 
 
 def test_values_match_exhaustive_scheduler_enumeration():

@@ -412,6 +412,8 @@ def test_duplicate_rows_sum_exactly_whatever_the_probability_type():
 def test_explicit_state_order_must_cover_everything():
     with pytest.raises(ModelFormatError):
         co.build_chain([("q0", "t", 1, ONE)], "q0", "t", states=["q0"])
+    with pytest.raises(ModelFormatError, match="state 'u' has no enabled action"):
+        co.build_process([("q0", "a", "t", 1, ONE)], "q0", "t", states=["q0", "t", "u"])
     chain = co.build_chain([("q0", "t", 1, ONE)], "q0", "t", states=["t", "q0"])
     assert chain.states == ("t", "q0")
 
@@ -442,6 +444,7 @@ def test_json_round_trip_random_processes():
         {"states": "q0", "initial": "q0", "target": "q0", "transitions": []},
         {"states": ["q0"], "initial": 0, "target": "q0", "transitions": []},
         {"states": ["q0"], "initial": "q0", "target": "q0", "transitions": {}},
+        {"states": ["q0", "t"], "initial": "q0", "target": "t", "transitions": [5]},
         {
             "states": ["q0", "t"],
             "initial": "q0",
@@ -495,6 +498,19 @@ def test_probability_strings_are_fractions_only():
                         {"from": "q0", "to": "t", "cost": 3, "prob": "1/2"}],
     }
     assert co.model_from_json(doc).transitions[("q0", "a")][0].prob == HALF
+
+
+@pytest.mark.parametrize(
+    "parse, value, message",
+    [
+        (co.parse_rational, "1/0", "denominator zero"),
+        (co.parse_cost, True, "must be an integer"),
+        (co.parse_cost, -1, "must be non-negative"),
+    ],
+)
+def test_rational_and_cost_parsers_name_bad_values(parse, value, message):
+    with pytest.raises(ModelFormatError, match=message):
+        parse(value)
 
 
 def test_probabilities_past_the_digit_cap_are_written_in_full(digit_cap):

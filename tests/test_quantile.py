@@ -101,6 +101,22 @@ def test_budget_bound_at_zero_threshold_is_states_times_cost():
     assert bounds.B_bound == 1 * 2
 
 
+def test_budget_bound_tightens_when_p_min_to_the_n_is_tiny():
+    # Nine states in a row, each moving on with probability 1/1000 and
+    # back to q0 otherwise: with p_min^n = 10^-30 the 64-bit logarithm
+    # leaves slack that a finer one trims, so the doubling loop tightens.
+    back, on = Fraction(999, 1000), Fraction(1, 1000)
+    names = [f"q{i}" for i in range(9)] + ["t"]
+    rows = [(q, "q0", 1, back) for q in names[:-1]]
+    rows += [(q, succ, 1, on) for q, succ in zip(names, names[1:])]
+    chain = co.build_chain(rows, "q0", "t")
+    odds = Fraction(4, 3)
+    bounds = co.budget_upper_bound(chain, Fraction(1, 4))
+    assert bounds.B_bound < quantile.tail_budget(chain, ln_upper(odds, 64))
+    assert bounds.B_bound == quantile.tail_budget(chain, bounds.log_bound)
+    assert bounds.B_bound >= quantile.tail_budget(chain, ln_upper(odds, 8192))
+
+
 def test_budget_bound_really_bounds_every_scheduler():
     rng = Random(41)
     for _ in range(15):
@@ -159,6 +175,8 @@ def test_quantile_answers_past_the_digit_cap(digit_cap):
 def test_quantile_argument_checks():
     with pytest.raises(ThresholdRangeError):
         co.quantile_query(two_flip_chain(), Fraction(3, 2), "exists")
+    with pytest.raises(ThresholdRangeError, match=r"\[0, 1\) for the budget bound"):
+        co.budget_upper_bound(two_flip_chain(), ONE)
     with pytest.raises(ValueError):
         co.quantile_query(two_flip_chain(), HALF, "whenever")
     broken = co.build_chain([("q0", "t", 1, HALF)], "q0", "t")
